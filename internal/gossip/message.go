@@ -173,7 +173,24 @@ type Message struct {
 	// confirmed transitions) on gossip and probe traffic — the SWIM
 	// dissemination component. Empty when failure detection is off.
 	Updates []MemberUpdate
+
+	// borrowed marks a message whose event payloads alias memory the
+	// producer reuses once the receive call returns (see MarkBorrowed).
+	borrowed bool
 }
+
+// MarkBorrowed marks m as borrowed: its event payloads alias a buffer
+// the producer (a transport's reused decode scratch) overwrites once
+// the receive call returns. Consumers that keep a payload past the
+// call — Node.Receive for delivered and buffered events, the recovery
+// store for retained ones — copy it first. Messages are owned unless
+// marked, and owned messages are never copied on receive. Clone and
+// CopyForSend return unmarked messages; only Clone's deep copy owns its
+// payloads, so a consumer keeping a borrowed message must Clone it.
+func MarkBorrowed(m *Message) { m.borrowed = true }
+
+// IsBorrowed reports whether m was marked by MarkBorrowed.
+func IsBorrowed(m *Message) bool { return m.borrowed }
 
 // BuffCap is one (node, buffer capacity) observation, the unit of the
 // κ-smallest extension's header.
@@ -201,6 +218,7 @@ func (m *Message) AppendEvents(evs ...Event) {
 // use it instead of the deep Clone, which also duplicates payloads.
 func (m *Message) CopyForSend() *Message {
 	c := *m
+	c.borrowed = false
 	c.Events = append([]Event(nil), m.Events...)
 	c.KMin = append([]BuffCap(nil), m.KMin...)
 	c.Subs = append([]NodeID(nil), m.Subs...)
@@ -214,7 +232,8 @@ func (m *Message) CopyForSend() *Message {
 
 // Clone returns a deep copy of the message, including payloads. Used
 // when a driver needs to hand the same logical message to mutating
-// consumers. CopyForSend owns the one authoritative list of Message
+// consumers, and by receive handlers that keep a message past their
+// return. CopyForSend owns the one authoritative list of Message
 // slice fields; Clone only deepens the event payloads on top of it.
 func (m *Message) Clone() *Message {
 	c := m.CopyForSend()

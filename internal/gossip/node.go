@@ -434,6 +434,19 @@ func (n *Node) traceFirstSends(msg *Message) {
 // and extensions observe the message afterwards (Figure 1 receive block
 // plus the Figure 5 additions).
 //
+// Duplicates are detected against the buffer first and eventIds only
+// for events the buffer does not hold. Every buffered id is also in
+// eventIds unless a flood of fresh ids pushed it out, so the order
+// makes Figure 1's decisions while keeping a buffered event from ever
+// being delivered twice. An event carrying the node's own id that is
+// neither buffered nor in eventIds is dropped as a duplicate: the node
+// delivered every real one at Broadcast, so such a copy is stale or
+// forged.
+//
+// A borrowed message (MarkBorrowed) is copied only where it is kept:
+// the payload of each delivered event is copied once, and the delivered
+// and buffered event share the copy.
+//
 //gossip:hotpath
 func (n *Node) Receive(msg *Message) {
 	n.stats.MessagesReceived++
@@ -448,12 +461,18 @@ func (n *Node) Receive(msg *Message) {
 		} else {
 			ev.Hop = ev.Age
 		}
-		if !n.seen.Add(ev.ID) {
+		if n.buf.RaiseAge(ev.ID, ev.Age) {
 			n.stats.Duplicates++
-			if !n.buf.RaiseAge(ev.ID, ev.Age) {
-				n.stats.RedeliveriesAvoid++
-			}
 			continue
+		}
+		if ev.ID.Origin == n.id || !n.seen.Add(ev.ID) {
+			n.stats.Duplicates++
+			n.stats.RedeliveriesAvoid++
+			continue
+		}
+		if msg.borrowed && len(ev.Payload) > 0 {
+			//gossip:allocok copy-once: a borrowed payload aliases the transport's reused read buffer; delivery and the buffer share this copy
+			ev.Payload = append([]byte(nil), ev.Payload...)
 		}
 		if n.tracer != nil && n.tracer.Sampled(string(ev.ID.Origin), ev.ID.Seq) {
 			n.tracer.Trace(observe.TraceEvent{
@@ -494,8 +513,9 @@ func (n *Node) deliverLocal(ev Event) {
 func (n *Node) store(ev Event) {
 	evicted, err := n.buf.Add(ev)
 	if err != nil {
-		// Unreachable: the eventIds check precedes every Add. Surface
-		// loudly in development rather than corrupting state.
+		// Unreachable: Receive stores only ids the buffer does not hold
+		// and never stores the node's own ids, and Broadcast's ids are
+		// fresh. Surface loudly rather than corrupting state.
 		panic(err)
 	}
 	if len(evicted) > 0 {

@@ -21,8 +21,6 @@ type RunnerConfig struct {
 	Transport transport.Transport
 	// Period is the gossip round interval.
 	Period time.Duration
-	// InboxSize bounds the receive queue (default 256).
-	InboxSize int
 	// PhaseSeed randomizes the initial tick phase.
 	PhaseSeed uint64
 	// Metrics, when non-nil, receives wall-clock tick and receive
@@ -31,7 +29,9 @@ type RunnerConfig struct {
 }
 
 // Runner owns a Peer: one goroutine serializes ticks, receives and
-// commands, mirroring internal/runtime.Runner for single-group nodes.
+// commands, mirroring internal/runtime.Runner for single-group nodes,
+// including its synchronous receive hand-off: the transport handler
+// returns only once the loop has processed the message.
 type Runner struct {
 	peer    *Peer
 	tr      transport.Transport
@@ -39,7 +39,8 @@ type Runner struct {
 	phase   time.Duration
 	metrics *observe.RunnerMetrics // nil = off
 
-	inbox chan *gossip.Message
+	inbox chan *gossip.Message // unbuffered hand-off from the handler
+	acked chan struct{}        // loop → handler: the message is processed
 	cmds  chan func(*Peer)
 	stop  chan struct{}
 	done  chan struct{}
@@ -48,8 +49,7 @@ type Runner struct {
 	stopOnce  sync.Once
 	started   atomic.Bool
 
-	inboxDropped atomic.Uint64
-	sendErrors   atomic.Uint64
+	sendErrors atomic.Uint64
 }
 
 // NewRunner wires the runner and installs the transport handler.
@@ -62,10 +62,6 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	}
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("pubsub: period must be positive, got %v", cfg.Period)
-	}
-	size := cfg.InboxSize
-	if size <= 0 {
-		size = 256
 	}
 	seed := cfg.PhaseSeed
 	if seed == 0 {
@@ -81,19 +77,25 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 		period:  cfg.Period,
 		phase:   time.Duration(rng.Int64N(int64(cfg.Period))),
 		metrics: cfg.Metrics,
-		inbox:   make(chan *gossip.Message, size),
+		inbox:   make(chan *gossip.Message),
+		acked:   make(chan struct{}),
 		cmds:    make(chan func(*Peer)),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	r.tr.SetHandler(func(msg *gossip.Message) {
-		select {
-		case r.inbox <- msg:
-		default:
-			r.inboxDropped.Add(1)
-		}
-	})
+	r.tr.SetHandler(r.handoff)
 	return r, nil
+}
+
+// handoff is the transport handler: it passes msg to the loop and
+// returns once the loop has processed it, or at once after Stop (see
+// runtime.Runner's hand-off).
+func (r *Runner) handoff(msg *gossip.Message) {
+	select {
+	case r.inbox <- msg:
+		<-r.acked
+	case <-r.stop:
+	}
 }
 
 // Start launches the peer loop. Idempotent.
@@ -105,7 +107,9 @@ func (r *Runner) Start() {
 }
 
 // Stop terminates the loop and waits for it. Safe to call repeatedly
-// and before Start.
+// and before Start. Like runtime.Runner.Stop, it releases handlers
+// waiting in the hand-off; stop the runner before closing a started
+// transport.
 func (r *Runner) Stop() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	if r.started.Load() {
@@ -126,6 +130,7 @@ waitPhase:
 			return
 		case msg := <-r.inbox:
 			r.receive(msg)
+			r.acked <- struct{}{}
 		case cmd := <-r.cmds:
 			cmd(r.peer)
 		}
@@ -149,6 +154,7 @@ waitPhase:
 			}
 		case msg := <-r.inbox:
 			r.receive(msg)
+			r.acked <- struct{}{}
 		case cmd := <-r.cmds:
 			cmd(r.peer)
 		}
@@ -209,6 +215,3 @@ func (r *Runner) State() []TopicState {
 	r.Do(func(p *Peer) { out = p.State() })
 	return out
 }
-
-// InboxDropped counts receive-queue overflow drops.
-func (r *Runner) InboxDropped() uint64 { return r.inboxDropped.Load() }

@@ -270,8 +270,15 @@ func (e *Engine) StoreLen() int { return e.store.len() }
 func (e *Engine) MissingLen() int { return len(e.missing) }
 
 // observe retains an event for retransmission and records its id in
-// the digest source.
-func (e *Engine) observe(ev gossip.Event) {
+// the digest source. borrowed says ev's payload aliases a buffer that
+// is reused after the current call (gossip.IsBorrowed): the store keeps
+// a copy of a payload it has not retained yet.
+func (e *Engine) observe(ev gossip.Event, borrowed bool) {
+	if borrowed && len(ev.Payload) > 0 && e.store.capacity > 0 {
+		if _, kept := e.store.get(ev.ID); !kept {
+			ev.Payload = append([]byte(nil), ev.Payload...)
+		}
+	}
 	_, evicted := e.store.add(ev, e.round)
 	e.stats.StoreEvicted += uint64(evicted)
 	e.digest.Add(ev.ID)
@@ -286,7 +293,7 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	// The buffer snapshot passes through here every round, which is how
 	// locally-broadcast events (no OnReceive hook) enter the store.
 	for _, ev := range out.Events {
-		e.observe(ev)
+		e.observe(ev, false)
 	}
 	if ids := e.digest.IDs(); len(ids) > 0 {
 		out.Digest = ids
@@ -303,7 +310,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	switch in.Kind {
 	case gossip.KindGossip:
 		for _, ev := range in.Events {
-			e.observe(ev)
+			e.observe(ev, gossip.IsBorrowed(in))
 		}
 		if len(in.Digest) > 0 {
 			e.stats.DigestsReceived++
@@ -319,7 +326,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 				delete(e.missing, ev.ID)
 				e.stats.EventsRecovered++
 			}
-			e.observe(ev)
+			e.observe(ev, gossip.IsBorrowed(in))
 		}
 	}
 }
@@ -329,7 +336,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 // served to a peer that lost every push copy.
 func (e *Engine) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {
 	for _, ev := range evicted {
-		e.observe(ev)
+		e.observe(ev, false)
 	}
 }
 

@@ -22,11 +22,6 @@ import (
 	"adaptivegossip/internal/transport"
 )
 
-// DefaultInboxSize bounds the queue between the transport's delivery
-// goroutines and the node loop. Overflow drops messages — acceptable
-// for gossip, which tolerates loss by design — and is counted.
-const DefaultInboxSize = 256
-
 // Config assembles a Runner.
 type Config struct {
 	// Node is the protocol state machine the runner owns. The caller
@@ -37,8 +32,6 @@ type Config struct {
 	Transport transport.Transport
 	// Period is the gossip round interval T.
 	Period time.Duration
-	// InboxSize overrides DefaultInboxSize when positive.
-	InboxSize int
 	// PhaseSeed randomizes the initial tick phase in [0, Period) so a
 	// cluster started at once does not tick in lockstep. Zero seeds
 	// from the node id.
@@ -51,13 +44,19 @@ type Config struct {
 // Stats counts runner activity.
 type Stats struct {
 	Ticks         uint64
-	InboxDropped  uint64
 	SendErrors    uint64
 	MessagesMoved uint64
 }
 
 // Runner drives one node. Create with NewRunner, then Start; Stop waits
 // for the loop to exit.
+//
+// Receives are handed off synchronously: the transport handler passes
+// the message to the loop and blocks until the loop has processed it,
+// so a transport may reuse the message once its handler returns (the
+// UDP transport decodes into reused scratch) and receive back-pressure
+// reaches the transport's own bounded queue. Protocol work and the
+// delivery callbacks still run on the loop goroutine only.
 type Runner struct {
 	node    *core.AdaptiveNode
 	tr      transport.Transport
@@ -65,7 +64,8 @@ type Runner struct {
 	phase   time.Duration
 	metrics *observe.RunnerMetrics // nil = off
 
-	inbox chan *gossip.Message
+	inbox chan *gossip.Message // unbuffered hand-off from the handler
+	acked chan struct{}        // loop → handler: the message is processed
 	cmds  chan func(*core.AdaptiveNode)
 	stop  chan struct{}
 	done  chan struct{}
@@ -78,10 +78,9 @@ type Runner struct {
 	stopOnce  sync.Once
 	started   atomic.Bool
 
-	ticks        atomic.Uint64
-	inboxDropped atomic.Uint64
-	sendErrors   atomic.Uint64
-	moved        atomic.Uint64
+	ticks      atomic.Uint64
+	sendErrors atomic.Uint64
+	moved      atomic.Uint64
 }
 
 // NewRunner wires a runner and installs the transport handler. The
@@ -95,10 +94,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("runtime: period must be positive, got %v", cfg.Period)
-	}
-	size := cfg.InboxSize
-	if size <= 0 {
-		size = DefaultInboxSize
 	}
 	seed := cfg.PhaseSeed
 	if seed == 0 {
@@ -114,23 +109,28 @@ func NewRunner(cfg Config) (*Runner, error) {
 		period:  cfg.Period,
 		phase:   time.Duration(rng.Int64N(int64(cfg.Period))),
 		metrics: cfg.Metrics,
-		inbox:   make(chan *gossip.Message, size),
+		inbox:   make(chan *gossip.Message),
+		acked:   make(chan struct{}),
 		cmds:    make(chan func(*core.AdaptiveNode)),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	r.tr.SetHandler(r.enqueue)
+	r.tr.SetHandler(r.handoff)
 	return r, nil
 }
 
 // ID returns the owned node's identifier.
 func (r *Runner) ID() gossip.NodeID { return r.node.ID() }
 
-func (r *Runner) enqueue(msg *gossip.Message) {
+// handoff is the transport handler: it passes msg to the loop and
+// returns once the loop has processed it, or at once after Stop. A
+// message the loop accepted is always acknowledged, so Stop cannot
+// strand a handler, and no loop reads msg after handoff returns.
+func (r *Runner) handoff(msg *gossip.Message) {
 	select {
 	case r.inbox <- msg:
-	default:
-		r.inboxDropped.Add(1)
+		<-r.acked
+	case <-r.stop:
 	}
 }
 
@@ -143,7 +143,9 @@ func (r *Runner) Start() {
 }
 
 // Stop terminates the loop and waits for it to exit. Safe to call
-// multiple times and before Start.
+// multiple times and before Start. It also releases transport handlers
+// waiting in the hand-off, so stop the runner before closing a started
+// transport: the transport's Close waits for its handler calls.
 func (r *Runner) Stop() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	if r.started.Load() {
@@ -167,6 +169,7 @@ waitPhase:
 			return
 		case msg := <-r.inbox:
 			r.receive(msg)
+			r.acked <- struct{}{}
 		case cmd := <-r.cmds:
 			cmd(r.node)
 		}
@@ -182,6 +185,7 @@ waitPhase:
 			r.tick()
 		case msg := <-r.inbox:
 			r.receive(msg)
+			r.acked <- struct{}{}
 		case cmd := <-r.cmds:
 			cmd(r.node)
 		}
@@ -322,7 +326,6 @@ func (r *Runner) ClusterDeliverHops() observe.HistogramSnapshot {
 func (r *Runner) Stats() Stats {
 	return Stats{
 		Ticks:         r.ticks.Load(),
-		InboxDropped:  r.inboxDropped.Load(),
 		SendErrors:    r.sendErrors.Load(),
 		MessagesMoved: r.moved.Load(),
 	}

@@ -498,68 +498,77 @@ func (c Codec) EncodeChunks(m *gossip.Message, maxSize int) ([][]byte, error) {
 
 // Decode parses a message of any supported wire version (5, 4, 3),
 // enforcing the codec limits. The returned message owns all of its
-// memory.
+// memory. (A UDP endpoint decodes with the same parser into a reused,
+// borrowed message instead; see scratch.go.)
 func (c Codec) Decode(data []byte) (*gossip.Message, error) {
+	m := &gossip.Message{}
+	if err := c.decode(data, m, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decode parses data into m, which must be empty apart from reusable
+// slice capacity. sc is nil for an owning decode; otherwise strings are
+// interned in sc and payloads alias data or sc's decompression buffer.
+func (c Codec) decode(data []byte, m *gossip.Message, sc *decodeScratch) error {
 	c = c.limits()
 	r := &reader{data: data}
 	if err := r.need(4); err != nil {
-		return nil, err
+		return err
 	}
 	if data[0] != codecMagic[0] || data[1] != codecMagic[1] || data[2] != codecMagic[2] {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	version := data[3]
 	if version != codecVersion && version != wireV4 && version != wireV3 {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	r.off = 4
 	flags, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Trace context exists only from v4 on; a v3 sender's flag bit 2 is
 	// undefined and ignored.
-	traced := version >= wireV4 && flags&flagTraced != 0
-	m := &gossip.Message{Adaptive: flags&flagAdaptive != 0, Traced: traced}
+	m.Traced = version >= wireV4 && flags&flagTraced != 0
+	m.Adaptive = flags&flagAdaptive != 0
 	kind, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !gossip.MessageKind(kind).Valid() {
-		return nil, fmt.Errorf("transport: unknown message kind %d", kind)
+		return fmt.Errorf("transport: unknown message kind %d", kind)
 	}
 	m.Kind = gossip.MessageKind(kind)
-	if err := c.decodeControlPre(r, m, flags); err != nil {
-		return nil, err
+	if err := c.decodeControlPre(r, m, flags, sc); err != nil {
+		return err
 	}
 	if version == codecVersion {
-		if err := c.decodeControlPost(r, m, true); err != nil {
-			return nil, err
+		if err := c.decodeControlPost(r, m, true, sc); err != nil {
+			return err
 		}
-		rows, err := c.readEventSection(r, flags)
+		rows, err := c.readEventSection(r, flags, sc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r.off != len(data) {
-			return nil, fmt.Errorf("transport: %d trailing bytes", len(data)-r.off)
+			return fmt.Errorf("transport: %d trailing bytes", len(data)-r.off)
 		}
-		if err := c.decodeEventSection(rows, m); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return c.decodeEventSection(rows, m, sc)
 	}
 	// Legacy v4/v3 layout: inline events between the control sections,
 	// health digests (v4 only) last.
-	if err := c.decodeEventsV4(r, m, traced); err != nil {
-		return nil, err
+	if err := c.decodeEventsV4(r, m, sc); err != nil {
+		return err
 	}
-	if err := c.decodeControlPost(r, m, version == wireV4); err != nil {
-		return nil, err
+	if err := c.decodeControlPost(r, m, version == wireV4, sc); err != nil {
+		return err
 	}
 	if r.off != len(data) {
-		return nil, fmt.Errorf("transport: %d trailing bytes", len(data)-r.off)
+		return fmt.Errorf("transport: %d trailing bytes", len(data)-r.off)
 	}
-	return m, nil
+	return nil
 }
 
 // readEventSection consumes the v5 event section framing and returns
@@ -567,8 +576,8 @@ func (c Codec) Decode(data []byte) (*gossip.Message, error) {
 // both absolutely and relative to the compressed input so a hostile
 // frame cannot turn a small datagram into an unbounded allocation
 // (DEFLATE tops out near 1:1032; anything claiming more is corrupt by
-// definition).
-func (c Codec) readEventSection(r *reader, flags byte) ([]byte, error) {
+// definition). A scratch decode decompresses into sc's reused buffer.
+func (c Codec) readEventSection(r *reader, flags byte, sc *decodeScratch) ([]byte, error) {
 	rawLen, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -609,5 +618,10 @@ func (c Codec) readEventSection(r *reader, flags byte) ([]byte, error) {
 	}
 	src := r.data[r.off : r.off+int(wireLen)]
 	r.off += int(wireLen)
-	return d.Decompress(make([]byte, 0, rawLen), src, int(rawLen))
+	if sc == nil {
+		return d.Decompress(make([]byte, 0, rawLen), src, int(rawLen))
+	}
+	rows, err := d.Decompress(sc.section[:0], src, int(rawLen))
+	sc.section = rows[:0]
+	return rows, err
 }

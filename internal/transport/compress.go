@@ -39,16 +39,28 @@ const (
 )
 
 // flateCompressor implements Compressor with stdlib DEFLATE. Writers
-// are pooled (flate.NewWriter allocates ~600 KiB of match tables);
-// readers are cheap enough to construct per call.
+// are pooled (flate.NewWriter allocates ~600 KiB of match tables), and
+// so are readers (each holds tens of KiB of window and Huffman state),
+// so a steady stream of compressed datagrams decodes without building
+// either per frame.
 type flateCompressor struct {
 	writers sync.Pool
+	readers sync.Pool // *flateReader
+}
+
+// flateReader is a pooled decompressor together with the source reader
+// it is reset onto.
+type flateReader struct {
+	src bytes.Reader
+	fr  io.ReadCloser
 }
 
 // NewFlateCompressor returns the built-in DEFLATE compressor (wire id
 // 1). One instance is shared safely by any number of codecs.
 func NewFlateCompressor() Compressor {
-	return &flateCompressor{}
+	f := &flateCompressor{}
+	f.readers.New = func() any { return &flateReader{} }
+	return f
 }
 
 func (f *flateCompressor) ID() byte     { return compressorFlate }
@@ -87,8 +99,22 @@ func (f *flateCompressor) Compress(dst, src []byte) ([]byte, error) {
 }
 
 func (f *flateCompressor) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(src))
-	defer fr.Close()
+	r, _ := f.readers.Get().(*flateReader)
+	r.src.Reset(src)
+	if r.fr == nil {
+		r.fr = flate.NewReader(&r.src)
+	} else if err := r.fr.(flate.Resetter).Reset(&r.src, nil); err != nil {
+		return dst, err
+	}
+	out, err := inflate(r.fr, dst, rawLen)
+	r.src.Reset(nil) // do not pin src while pooled
+	f.readers.Put(r)
+	return out, err
+}
+
+// inflate appends exactly rawLen bytes read from fr to dst, erroring if
+// the stream is shorter or longer.
+func inflate(fr io.Reader, dst []byte, rawLen int) ([]byte, error) {
 	base := len(dst)
 	dst = append(dst, make([]byte, rawLen)...)
 	if _, err := io.ReadFull(fr, dst[base:]); err != nil {

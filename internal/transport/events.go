@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"adaptivegossip/internal/gossip"
 )
@@ -108,8 +109,9 @@ func eventSectionSize(m *gossip.Message) int {
 // decodeEventSection parses the columnar event rows into m.Events,
 // enforcing the codec limits and full validity of every decoded field
 // (a successful decode must re-encode). rows must be exactly the
-// section content; trailing bytes error.
-func (c Codec) decodeEventSection(rows []byte, m *gossip.Message) error {
+// section content; trailing bytes error. With a scratch, origins are
+// interned and payloads alias rows.
+func (c Codec) decodeEventSection(rows []byte, m *gossip.Message, sc *decodeScratch) error {
 	r := &reader{data: rows}
 	count, err := r.uvarint()
 	if err != nil {
@@ -126,7 +128,7 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message) error {
 		if maxN := (len(rows)-r.off)/3 + 1; capN > maxN {
 			capN = maxN
 		}
-		m.Events = make([]gossip.Event, 0, capN)
+		m.Events = slices.Grow(m.Events, capN)
 	}
 	for uint64(len(m.Events)) < count {
 		olen, err := r.uvarint()
@@ -139,7 +141,7 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message) error {
 		if err := r.need(int(olen)); err != nil {
 			return err
 		}
-		origin := gossip.NodeID(rows[r.off : r.off+int(olen)])
+		origin := gossip.NodeID(sc.intern(rows[r.off : r.off+int(olen)]))
 		r.off += int(olen)
 		runLen, err := r.uvarint()
 		if err != nil {
@@ -210,11 +212,7 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message) error {
 			if err := r.need(int(plen)); err != nil {
 				return err
 			}
-			if plen > 0 {
-				payload := make([]byte, plen)
-				copy(payload, rows[r.off:])
-				m.Events[base+i].Payload = payload
-			}
+			m.Events[base+i].Payload = sc.payload(rows[r.off : r.off+int(plen)])
 			r.off += int(plen)
 		}
 	}
@@ -262,7 +260,7 @@ func eventsSizeV4(m *gossip.Message) int {
 }
 
 // decodeEventsV4 parses the v4 inline event list into m.Events.
-func (c Codec) decodeEventsV4(r *reader, m *gossip.Message, traced bool) error {
+func (c Codec) decodeEventsV4(r *reader, m *gossip.Message, sc *decodeScratch) error {
 	ne, err := r.u32()
 	if err != nil {
 		return err
@@ -273,9 +271,15 @@ func (c Codec) decodeEventsV4(r *reader, m *gossip.Message, traced bool) error {
 	if ne == 0 {
 		return nil
 	}
-	m.Events = make([]gossip.Event, 0, ne)
+	// Cap the preallocation by what the remaining input could hold (an
+	// event row is at least 18 bytes), as the v5 section does.
+	capN := int(ne)
+	if maxN := (len(r.data)-r.off)/18 + 1; capN > maxN {
+		capN = maxN
+	}
+	m.Events = slices.Grow(m.Events, capN)
 	for i := 0; i < int(ne); i++ {
-		origin, err := r.str(c.MaxIDLen)
+		origin, err := r.str(c.MaxIDLen, sc)
 		if err != nil {
 			return err
 		}
@@ -288,7 +292,7 @@ func (c Codec) decodeEventsV4(r *reader, m *gossip.Message, traced bool) error {
 			return err
 		}
 		var hop uint16
-		if traced {
+		if m.Traced {
 			if hop, err = r.u16(); err != nil {
 				return err
 			}
@@ -303,11 +307,7 @@ func (c Codec) decodeEventsV4(r *reader, m *gossip.Message, traced bool) error {
 		if err := r.need(int(plen)); err != nil {
 			return err
 		}
-		var payload []byte
-		if plen > 0 {
-			payload = make([]byte, plen)
-			copy(payload, r.data[r.off:])
-		}
+		payload := sc.payload(r.data[r.off : r.off+int(plen)])
 		r.off += int(plen)
 		m.AppendEvent(gossip.Event{
 			ID:      gossip.EventID{Origin: gossip.NodeID(origin), Seq: seq},

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"adaptivegossip/internal/gossip"
 )
@@ -270,7 +271,9 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *reader) str(maxLen int) (string, error) {
+// str reads a u16-length-prefixed identifier: a fresh string for an
+// owning decode (sc == nil), an interned one for a scratch decode.
+func (r *reader) str(maxLen int, sc *decodeScratch) (string, error) {
 	n, err := r.u16()
 	if err != nil {
 		return "", err
@@ -281,22 +284,23 @@ func (r *reader) str(maxLen int) (string, error) {
 	if err := r.need(int(n)); err != nil {
 		return "", err
 	}
-	s := string(r.data[r.off : r.off+int(n)])
+	s := sc.intern(r.data[r.off : r.off+int(n)])
 	r.off += int(n)
 	return s, nil
 }
 
 // decodeControlPre parses the leading control fields into m (the
 // counterpart of appendControlPre; the frame header is already
-// consumed and its flags applied to m).
-func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error {
-	from, err := r.str(c.MaxIDLen)
+// consumed and its flags applied to m). Lists are appended to m's
+// (empty, possibly scratch-backed) slices.
+func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte, sc *decodeScratch) error {
+	from, err := r.str(c.MaxIDLen, sc)
 	if err != nil {
 		return err
 	}
 	m.From = gossip.NodeID(from)
 	if flags&flagGroup != 0 {
-		group, err := r.str(c.MaxIDLen)
+		group, err := r.str(c.MaxIDLen, sc)
 		if err != nil {
 			return err
 		}
@@ -323,9 +327,15 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 		return err
 	}
 	if nk > 0 {
-		m.KMin = make([]gossip.BuffCap, 0, nk)
+		// Preallocation capped by what the remaining input could hold
+		// (≥6 bytes per entry), as for the lists below.
+		capN := int(nk)
+		if maxN := (len(r.data) - r.off) / 6; capN > maxN {
+			capN = maxN
+		}
+		m.KMin = slices.Grow(m.KMin, capN)
 		for i := 0; i < int(nk); i++ {
-			node, err := r.str(c.MaxIDLen)
+			node, err := r.str(c.MaxIDLen, sc)
 			if err != nil {
 				return err
 			}
@@ -349,9 +359,9 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 			if maxN := (len(r.data) - r.off) / 10; capN > maxN {
 				capN = maxN
 			}
-			ids := make([]gossip.EventID, 0, capN)
+			ids := slices.Grow(*dst, capN)
 			for i := 0; i < int(nd); i++ {
-				origin, err := r.str(c.MaxIDLen)
+				origin, err := r.str(c.MaxIDLen, sc)
 				if err != nil {
 					return err
 				}
@@ -364,7 +374,7 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 			*dst = ids
 		}
 	}
-	probe, err := r.str(c.MaxIDLen)
+	probe, err := r.str(c.MaxIDLen, sc)
 	if err != nil {
 		return err
 	}
@@ -383,9 +393,9 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 		if maxN := (len(r.data) - r.off) / 11; capN > maxN {
 			capN = maxN
 		}
-		m.Updates = make([]gossip.MemberUpdate, 0, capN)
+		m.Updates = slices.Grow(m.Updates, capN)
 		for i := 0; i < int(nu); i++ {
-			node, err := r.str(c.MaxIDLen)
+			node, err := r.str(c.MaxIDLen, sc)
 			if err != nil {
 				return err
 			}
@@ -412,14 +422,14 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 
 // decodeControlPost parses the trailing control fields (membership and,
 // for wire v4+, the health-digest section) into m.
-func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool) error {
+func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool, sc *decodeScratch) error {
 	for _, dst := range []*[]gossip.NodeID{&m.Subs, &m.Unsubs} {
 		n, err := r.u16()
 		if err != nil {
 			return err
 		}
 		for i := 0; i < int(n); i++ {
-			s, err := r.str(c.MaxIDLen)
+			s, err := r.str(c.MaxIDLen, sc)
 			if err != nil {
 				return err
 			}
@@ -428,23 +438,23 @@ func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool) 
 	}
 	if withHealth {
 		var err error
-		if m.Health, err = c.decodeHealth(r); err != nil {
+		if m.Health, err = c.decodeHealth(r, m.Health, sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decodeHealth parses the health-digest section (wire v4+), enforcing
-// the canonical sparse-histogram form so a decoded message re-encodes
-// to identical bytes.
-func (c Codec) decodeHealth(r *reader) ([]gossip.HealthDigest, error) {
+// decodeHealth parses the health-digest section (wire v4+), appending
+// to out, and enforces the canonical sparse-histogram form so a decoded
+// message re-encodes to identical bytes.
+func (c Codec) decodeHealth(r *reader, out []gossip.HealthDigest, sc *decodeScratch) ([]gossip.HealthDigest, error) {
 	nh, err := r.u16()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if nh == 0 {
-		return nil, nil
+		return out, nil
 	}
 	// Preallocation capped by what the remaining input could hold
 	// (≥107 bytes per digest), as for the id lists.
@@ -452,12 +462,12 @@ func (c Codec) decodeHealth(r *reader) ([]gossip.HealthDigest, error) {
 	if maxN := (len(r.data) - r.off) / 107; capN > maxN {
 		capN = maxN
 	}
-	out := make([]gossip.HealthDigest, 0, capN)
+	out = slices.Grow(out, capN)
 	for i := 0; i < int(nh); i++ {
 		var d gossip.HealthDigest
-		node, err := r.str(c.MaxIDLen)
+		node, err := r.str(c.MaxIDLen, sc)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		d.Node = gossip.NodeID(node)
 		for _, dst := range []*uint64{
@@ -466,46 +476,46 @@ func (c Codec) decodeHealth(r *reader) ([]gossip.HealthDigest, error) {
 			&d.MessagesSent, &d.MessagesReceived, &d.BytesSent, &d.BytesReceived,
 		} {
 			if *dst, err = r.u64(); err != nil {
-				return nil, err
+				return out, err
 			}
 		}
 		bl, err := r.u32()
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		bc, err := r.u32()
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		d.BufferLen, d.BufferCap = int(int32(bl)), int(int32(bc))
 		if d.DeliverHops.Count, err = r.u64(); err != nil {
-			return nil, err
+			return out, err
 		}
 		if d.DeliverHops.Sum, err = r.u64(); err != nil {
-			return nil, err
+			return out, err
 		}
 		nb, err := r.u8()
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		if int(nb) > len(d.DeliverHops.Buckets) {
-			return nil, fmt.Errorf("%w: %d histogram buckets", ErrTooLarge, nb)
+			return out, fmt.Errorf("%w: %d histogram buckets", ErrTooLarge, nb)
 		}
 		last := -1
 		for j := 0; j < int(nb); j++ {
 			idx, err := r.u8()
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			if int(idx) >= len(d.DeliverHops.Buckets) || int(idx) <= last {
-				return nil, fmt.Errorf("transport: bad histogram bucket index %d", idx)
+				return out, fmt.Errorf("transport: bad histogram bucket index %d", idx)
 			}
 			val, err := r.u64()
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			if val == 0 {
-				return nil, fmt.Errorf("transport: zero histogram bucket encoded")
+				return out, fmt.Errorf("transport: zero histogram bucket encoded")
 			}
 			d.DeliverHops.Buckets[idx] = val
 			last = int(idx)

@@ -18,7 +18,7 @@ func TestUDPPeerTelemetry(t *testing.T) {
 	b := newUDP(t, "b")
 	b.SetLinks(bLinks) // post-construction install, the facade's path
 	got := make(chan *gossip.Message, 4)
-	b.SetHandler(func(m *gossip.Message) { got <- m })
+	b.SetHandler(func(m *gossip.Message) { got <- m.Clone() })
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMemPeerTelemetry(t *testing.T) {
 	a.SetLinks(aLinks)
 	b.SetLinks(bLinks)
 	got := make(chan *gossip.Message, 4)
-	b.SetHandler(func(m *gossip.Message) { got <- m })
+	b.SetHandler(func(m *gossip.Message) { got <- m.Clone() })
 
 	msg := &gossip.Message{From: "a", Round: 1}
 	if n, err := a.SendMany([]gossip.NodeID{"b"}, msg); err != nil || n != 1 {

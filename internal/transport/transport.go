@@ -2,8 +2,13 @@ package transport
 
 import "adaptivegossip/internal/gossip"
 
-// Handler consumes an incoming gossip message. Handlers must be fast or
-// hand off: transports call them from their delivery goroutines.
+// Handler consumes an incoming gossip message. Transports call it from
+// their delivery goroutines, so handlers must be fast or hand off.
+//
+// The message is valid until the handler returns; a handler that hands
+// the message off must Clone it. The UDP transport decodes every
+// datagram into one reused message whose payloads alias its read
+// buffer, and reuses both once the handler returns.
 type Handler func(*gossip.Message)
 
 // Transport moves gossip messages between nodes. Implementations:

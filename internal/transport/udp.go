@@ -104,7 +104,10 @@ var recvBufPool = sync.Pool{
 // Receives are asynchronous: the read loop only moves datagrams into a
 // bounded dispatch queue, a separate goroutine decodes and runs the
 // handler, and overflow is counted in RecvQueueDrops rather than
-// stalling the socket.
+// stalling the socket. The dispatch goroutine decodes every datagram
+// into one reused, borrowed message (see gossip.MarkBorrowed) whose
+// payloads alias the pooled read buffer; the buffer returns to the pool
+// when the handler returns, so the message is valid only until then.
 type UDPTransport struct {
 	id    gossip.NodeID
 	conn  udpConn
@@ -125,6 +128,7 @@ type UDPTransport struct {
 	links atomic.Pointer[observe.PeerTable]
 
 	recvQ   chan recvPacket
+	scratch *decodeScratch // owned by the dispatch goroutine; built on first use
 	started atomic.Bool
 	closed  atomic.Bool
 	stopCh  chan struct{}
@@ -369,11 +373,15 @@ func (t *UDPTransport) dispatchLoop() {
 	}
 }
 
+// dispatch decodes one datagram into the endpoint's scratch message and
+// runs the handler. The message borrows the read buffer, which goes
+// back to the pool only once the handler has returned.
 func (t *UDPTransport) dispatch(pkt recvPacket) {
-	// Decode copies everything it keeps, so the read buffer goes back to
-	// the pool before the handler runs.
-	msg, err := t.codec.Decode((*pkt.buf)[:pkt.n])
-	recvBufPool.Put(pkt.buf)
+	defer recvBufPool.Put(pkt.buf)
+	if t.scratch == nil {
+		t.scratch = newDecodeScratch()
+	}
+	msg, err := t.scratch.decode(t.codec, (*pkt.buf)[:pkt.n])
 	if err != nil {
 		t.decodeErrors.Add(1)
 		return

@@ -22,7 +22,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	a := newUDP(t, "a")
 	b := newUDP(t, "b")
 	got := make(chan *gossip.Message, 1)
-	b.SetHandler(func(m *gossip.Message) { got <- m })
+	b.SetHandler(func(m *gossip.Message) { got <- m.Clone() })
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestUDPSplitLargeMessage(t *testing.T) {
 	a := newUDP(t, "a", WithMaxDatagram(2048))
 	b := newUDP(t, "b")
 	got := make(chan *gossip.Message, 16)
-	b.SetHandler(func(m *gossip.Message) { got <- m })
+	b.SetHandler(func(m *gossip.Message) { got <- m.Clone() })
 	b.Start()
 	a.Start()
 	a.Register("b", b.Addr().String())

@@ -38,7 +38,7 @@ func TestUDPSendManyRoundTrip(t *testing.T) {
 		id := gossip.NodeID(fmt.Sprintf("peer-%d", i))
 		b := newUDP(t, id)
 		got := make(chan *gossip.Message, 1)
-		b.SetHandler(func(m *gossip.Message) { got <- m })
+		b.SetHandler(func(m *gossip.Message) { got <- m.Clone() })
 		b.Start()
 		a.Register(id, b.Addr().String())
 		targets = append(targets, id)
@@ -70,7 +70,7 @@ func TestUDPSendManyUnknownPeer(t *testing.T) {
 	a := newUDP(t, "a")
 	b := newUDP(t, "b")
 	got := make(chan *gossip.Message, 1)
-	b.SetHandler(func(m *gossip.Message) { got <- m })
+	b.SetHandler(func(m *gossip.Message) { got <- m.Clone() })
 	b.Start()
 	a.Start()
 	a.Register("b", b.Addr().String())
@@ -98,7 +98,7 @@ func TestUDPSendManyFallbackShim(t *testing.T) {
 	a := newUDP(t, "a")
 	b := newUDP(t, "b")
 	got := make(chan *gossip.Message, 1)
-	b.SetHandler(func(m *gossip.Message) { got <- m })
+	b.SetHandler(func(m *gossip.Message) { got <- m.Clone() })
 	b.Start()
 	a.Start()
 	a.Register("b", b.Addr().String())

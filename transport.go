@@ -19,7 +19,8 @@ type (
 	Message = gossip.Message
 	// MessageHandler consumes an incoming gossip message. Transports
 	// call it from their delivery goroutines; it must be fast or hand
-	// off.
+	// off. The message is valid until the handler returns; a handler
+	// that hands the message off must Clone it.
 	MessageHandler = transport.Handler
 	// Endpoint moves gossip messages for one group member. It is the
 	// per-node half of a Transport; the built-in implementations are
