@@ -17,7 +17,6 @@ import (
 	"adaptivegossip/internal/experiments"
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
-	"adaptivegossip/internal/pubsub"
 	"adaptivegossip/internal/ratelimit"
 	"adaptivegossip/internal/recovery"
 	"adaptivegossip/internal/sim"
@@ -232,26 +231,6 @@ func BenchmarkAblationAlpha(b *testing.B) {
 
 // --- protocol micro benchmarks -------------------------------------
 
-// BenchmarkBufferAddEvict measures the events-buffer insert path at
-// steady-state occupancy (every insert evicts).
-func BenchmarkBufferAddEvict(b *testing.B) {
-	buf, err := gossip.NewBuffer(120)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := gossip.Event{
-			ID:  gossip.EventID{Origin: "bench", Seq: uint64(i)},
-			Age: rng.IntN(10),
-		}
-		if _, err := buf.Add(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkIDCacheAdd measures the dedup cache at steady state.
 func BenchmarkIDCacheAdd(b *testing.B) {
 	c, err := gossip.NewIDCache(3600)
@@ -261,68 +240,6 @@ func BenchmarkIDCacheAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Add(gossip.EventID{Origin: "bench", Seq: uint64(i)})
-	}
-}
-
-// BenchmarkNodeReceive measures the full receive path: a 120-event
-// gossip message, about half duplicates — the per-round workload of a
-// node in the paper's configuration.
-func BenchmarkNodeReceive(b *testing.B) {
-	reg := membership.NewRegistry("a", "b")
-	node, err := gossip.NewNode("a",
-		gossip.Params{Fanout: 4, Period: time.Second, MaxEvents: 120, MaxAge: 10},
-		reg, rand.New(rand.NewPCG(3, 4)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 120
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		events := make([]gossip.Event, batch)
-		for j := range events {
-			// Every second event repeats the previous iteration's ids.
-			seq := uint64(i*batch + j)
-			if j%2 == 1 && i > 0 {
-				seq = uint64((i-1)*batch + j)
-			}
-			events[j] = gossip.Event{ID: gossip.EventID{Origin: "b", Seq: seq}, Age: j % 10}
-		}
-		node.Receive(&gossip.Message{From: "b", Events: events})
-	}
-	b.ReportMetric(float64(batch), "events/op")
-}
-
-// BenchmarkCodecEncode measures wire encoding of a full gossip message
-// (120 events × 64-byte payloads).
-func BenchmarkCodecEncode(b *testing.B) {
-	msg := benchMessage()
-	c := transport.DefaultCodec()
-	data, err := c.Encode(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCodecDecode measures wire decoding of the same message.
-func BenchmarkCodecDecode(b *testing.B) {
-	c := transport.DefaultCodec()
-	data, err := c.Encode(benchMessage())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(data); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -454,46 +371,6 @@ func BenchmarkAdaptorOnReceive(b *testing.B) {
 			Events: events,
 		}, now)
 		now = now.Add(10 * time.Millisecond)
-	}
-}
-
-// BenchmarkPubSubFanInOut measures the pub/sub peer's tick+receive
-// path with three subscribed topics.
-func BenchmarkPubSubFanInOut(b *testing.B) {
-	reg := membership.NewRegistry("a", "b", "c", "d")
-	cp := core.DefaultParams()
-	peer, err := pubsub.NewPeer(pubsub.PeerConfig{
-		ID:           "a",
-		BufferBudget: 90,
-		Gossip:       gossip.Params{Fanout: 3, Period: time.Second, MaxAge: 10},
-		Adaptive:     true,
-		Core:         cp,
-		RNG:          rand.New(rand.NewPCG(11, 12)),
-		Start:        time.Unix(0, 0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	topics := []pubsub.Topic{"t1", "t2", "t3"}
-	for _, topic := range topics {
-		if err := peer.Subscribe(topic, reg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	now := time.Unix(0, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = now.Add(time.Second)
-		topic := topics[i%len(topics)]
-		events := make([]gossip.Event, 20)
-		for j := range events {
-			events[j] = gossip.Event{
-				ID:  gossip.EventID{Origin: "b", Seq: uint64(i*20 + j)},
-				Age: j % 8,
-			}
-		}
-		peer.Receive(&gossip.Message{From: "b", Group: string(topic), Events: events}, now)
-		peer.Tick(now)
 	}
 }
 

@@ -92,7 +92,9 @@
 // internal/recovery for anti-entropy repair, internal/failure for
 // failure detection) owned by a driver: the
 // discrete-event scheduler (internal/sim) for simulations, or one
-// goroutine per node (internal/runtime) for real deployments. README.md
+// goroutine per member (internal/runtime) for real deployments, hosting
+// the member's broadcast groups — one for Node and Cluster members, one
+// per subscribed topic for PubSub peers. README.md
 // documents the full package map; API_STABILITY.md states the
 // compatibility policy for this surface.
 package adaptivegossip

@@ -136,8 +136,8 @@ func RunRuntime(cfg Config) (RunResult, error) {
 			Poisson:     cfg.Poisson,
 		}, func(payload []byte) bool {
 			admitted := false
-			r.Do(func(n *core.AdaptiveNode) {
-				ev, ok := n.Publish(payload, time.Now())
+			r.Do(func(g *runtime.Groups) {
+				ev, ok := g.Node("").Publish(payload, time.Now())
 				if ok {
 					tracker.Broadcast(ev.ID, time.Now())
 					admitted = true

@@ -8,46 +8,37 @@ import (
 
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
+	"adaptivegossip/internal/runtime"
 	"adaptivegossip/internal/transport"
 )
 
-// handlerTransport captures the handler a runner installs, so a test
-// can play the transport's dispatch goroutine.
-type handlerTransport struct {
-	mu sync.Mutex
-	h  transport.Handler
-}
-
-func (f *handlerTransport) LocalID() gossip.NodeID                    { return "x" }
-func (f *handlerTransport) Send(gossip.NodeID, *gossip.Message) error { return nil }
-func (f *handlerTransport) Close() error                              { return nil }
-func (f *handlerTransport) SetHandler(h transport.Handler) {
-	f.mu.Lock()
-	f.h = h
-	f.mu.Unlock()
-}
-
-func newHandoffRunner(t *testing.T) (*Runner, transport.Handler, *atomic.Int64) {
+// newHandoffPeer builds a peer's runner over a tagTransport and returns
+// the handler the runner installed, so a test can play the transport's
+// dispatch goroutine. With start set the runner is started and the peer
+// subscribed to topic "t"; deliveries are counted in the returned
+// counter.
+func newHandoffPeer(t *testing.T, start bool) (*runtime.Runner, transport.Handler, *atomic.Int64) {
 	t.Helper()
 	var delivered atomic.Int64
-	cfg := peerConfig("x", 64)
-	cfg.Adaptive = false
-	cfg.Deliver = func(Topic, gossip.Event) { delivered.Add(1) }
-	p, err := NewPeer(cfg)
+	tr := &tagTransport{id: "x", sent: map[string]int{}}
+	r, err := runtime.NewRunner(runtime.Config{Transport: tr, Period: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Subscribe("t", membership.NewRegistry("x", "s")); err != nil {
-		t.Fatal(err)
+	if start {
+		r.Start()
+		cfg := PeerConfig{Runner: r, BufferBudget: 64, Node: nodeConfig("x"),
+			Deliver: func(Topic, gossip.Event) { delivered.Add(1) }}
+		cfg.Node.Adaptive = false
+		p, err := NewPeer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Subscribe("t", membership.NewRegistry("x", "s")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tr := &handlerTransport{}
-	r, err := NewRunner(RunnerConfig{Peer: p, Transport: tr, Period: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return r, tr.h, &delivered
+	return r, tr.handler(), &delivered
 }
 
 func topicEvent(seq uint64) *gossip.Message {
@@ -56,10 +47,10 @@ func topicEvent(seq uint64) *gossip.Message {
 }
 
 // TestRunnerHandoffReturnsAfterProcessing: the handler returns only
-// once the loop has processed the message.
+// once the loop has routed the topic's message to its group and
+// delivered it.
 func TestRunnerHandoffReturnsAfterProcessing(t *testing.T) {
-	r, h, delivered := newHandoffRunner(t)
-	r.Start()
+	r, h, delivered := newHandoffPeer(t, true)
 	defer r.Stop()
 	for seq := uint64(0); seq < 100; seq++ {
 		h(topicEvent(seq))
@@ -70,14 +61,11 @@ func TestRunnerHandoffReturnsAfterProcessing(t *testing.T) {
 }
 
 // TestRunnerStopWithHandoffsInFlight: with or without Start, Stop does
-// not deadlock against handlers blocked in the hand-off, and every
-// handler returns afterwards.
+// not deadlock against handlers blocked in the hand-off of topic
+// messages, and every handler returns afterwards.
 func TestRunnerStopWithHandoffsInFlight(t *testing.T) {
 	for _, start := range []bool{false, true} {
-		r, h, _ := newHandoffRunner(t)
-		if start {
-			r.Start()
-		}
+		r, h, _ := newHandoffPeer(t, start)
 		var wg sync.WaitGroup
 		var seq atomic.Uint64
 		quit := make(chan struct{})

@@ -6,17 +6,19 @@
 // per-topic minBuff estimates pick the change up from gossip headers,
 // and publishers' allowed rates re-converge — with no coordination
 // beyond the adaptation mechanism itself.
+//
+// The topics of one node are groups of its runtime.Runner, tagged with
+// the topic name; this package holds the budget-split policy.
 package pubsub
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"time"
 
 	"adaptivegossip/internal/core"
 	"adaptivegossip/internal/gossip"
-	"adaptivegossip/internal/observe"
+	"adaptivegossip/internal/runtime"
 )
 
 // Topic names a broadcast group.
@@ -27,55 +29,43 @@ type DeliverFunc func(topic Topic, ev gossip.Event)
 
 // PeerConfig assembles a pub/sub peer.
 type PeerConfig struct {
-	// ID is the node identifier, shared across all topics.
-	ID gossip.NodeID
+	// Runner hosts the peer's topics, one group per topic.
+	Runner *runtime.Runner
 	// BufferBudget is the total number of events this node can buffer
 	// across all subscribed topics. Subscribe splits it evenly.
 	BufferBudget int
-	// Gossip is the per-topic protocol configuration; MaxEvents is
-	// ignored (the budget drives it).
-	Gossip gossip.Params
-	// Adaptive enables the adaptation mechanism per topic.
-	Adaptive bool
-	// Core parametrizes the adaptation.
-	Core core.Params
-	// RNG drives protocol randomness across all topics.
-	RNG *rand.Rand
+	// Node is the protocol configuration every topic's node is built
+	// from. Subscribe sets Peers and Deliver per topic; the budget
+	// drives Gossip.MaxEvents. Its RNG, metrics and tracer are shared
+	// by all topics.
+	Node core.NodeConfig
 	// Deliver observes deliveries (optional).
 	Deliver DeliverFunc
-	// Metrics, when non-nil, is shared by every topic's broadcast node:
-	// hop/drop-age/round-size observations across topics pool into one
-	// instrumentation block.
-	Metrics *observe.NodeMetrics
-	// Tracer, when non-nil, samples rumor lifecycles on every topic.
-	Tracer observe.Tracer
-	// Start is the creation instant.
-	Start time.Time
 }
 
-// Peer is one node's pub/sub endpoint: an independent broadcast node
-// per subscribed topic, sharing one buffer budget and one identity.
-//
-// Peer is a single-threaded state machine like the nodes it wraps; a
-// driver (Runner, or a simulation loop) serializes all calls.
+// Peer is one node's pub/sub endpoint: an independent broadcast group
+// per subscribed topic on the node's runner, sharing one buffer budget
+// and one identity. Its methods run through the runner's loop and fail
+// when the runner is not running.
 type Peer struct {
-	cfg    PeerConfig
-	topics map[Topic]*core.AdaptiveNode
-	order  []Topic // stable iteration: subscription order
+	cfg PeerConfig
 }
 
 // NewPeer validates the configuration and returns an unsubscribed peer.
 func NewPeer(cfg PeerConfig) (*Peer, error) {
-	if cfg.ID == "" {
-		return nil, fmt.Errorf("pubsub: peer id must not be empty")
+	if cfg.Runner == nil {
+		return nil, fmt.Errorf("pubsub: runner must not be nil")
+	}
+	if cfg.Node.ID != cfg.Runner.ID() {
+		return nil, fmt.Errorf("pubsub: peer id %q on the runner of %q", cfg.Node.ID, cfg.Runner.ID())
 	}
 	if cfg.BufferBudget <= 0 {
 		return nil, fmt.Errorf("pubsub: buffer budget must be positive, got %d", cfg.BufferBudget)
 	}
-	if cfg.RNG == nil {
+	if cfg.Node.RNG == nil {
 		return nil, fmt.Errorf("pubsub: rng must not be nil")
 	}
-	probe := cfg.Gossip
+	probe := cfg.Node.Gossip
 	probe.MaxEvents = cfg.BufferBudget
 	if probe.MaxEventIDs == 0 {
 		probe.MaxEventIDs = gossip.DefaultIDCacheMult * probe.MaxEvents
@@ -83,40 +73,20 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	if err := probe.Validate(); err != nil {
 		return nil, fmt.Errorf("pubsub: %w", err)
 	}
-	if cfg.Adaptive {
-		if err := cfg.Core.Validate(); err != nil {
+	if cfg.Node.Adaptive {
+		if err := cfg.Node.Core.Validate(); err != nil {
 			return nil, fmt.Errorf("pubsub: %w", err)
 		}
 	}
-	return &Peer{cfg: cfg, topics: make(map[Topic]*core.AdaptiveNode)}, nil
+	return &Peer{cfg: cfg}, nil
 }
 
-// ID returns the peer identifier.
-func (p *Peer) ID() gossip.NodeID { return p.cfg.ID }
-
-// Topics returns the subscribed topics in subscription order.
-func (p *Peer) Topics() []Topic {
-	return append([]Topic(nil), p.order...)
-}
-
-// Subscribed reports whether the peer participates in topic.
-func (p *Peer) Subscribed(topic Topic) bool {
-	_, ok := p.topics[topic]
-	return ok
-}
-
-// BudgetPerTopic returns the events-buffer capacity each subscribed
-// topic currently gets (the budget split evenly, at least 1).
-func (p *Peer) BudgetPerTopic() int {
-	n := len(p.topics)
-	if n == 0 {
-		return p.cfg.BufferBudget
-	}
-	per := p.cfg.BufferBudget / n
-	if per < 1 {
-		per = 1
-	}
-	return per
+// do runs fn in the runner's loop, returning its error, or an error
+// when the runner is not running.
+func (p *Peer) do(fn func(*runtime.Groups) error) error {
+	err := fmt.Errorf("pubsub: runner stopped")
+	p.cfg.Runner.Do(func(g *runtime.Groups) { err = fn(g) })
+	return err
 }
 
 // Subscribe joins a topic's broadcast group, drawing gossip targets for
@@ -131,57 +101,50 @@ func (p *Peer) Subscribe(topic Topic, peers gossip.PeerSampler) error {
 	if peers == nil {
 		return fmt.Errorf("pubsub: peer sampler must not be nil")
 	}
-	if _, dup := p.topics[topic]; dup {
-		return fmt.Errorf("pubsub: already subscribed to %q", topic)
+	cfg := p.cfg.Node
+	cfg.Gossip.MaxEvents = p.cfg.BufferBudget // placeholder; rebalance sets the real split
+	cfg.Peers = peers
+	cfg.Deliver = nil
+	if fn := p.cfg.Deliver; fn != nil {
+		cfg.Deliver = func(ev gossip.Event) { fn(topic, ev) }
 	}
-	gp := p.cfg.Gossip
-	gp.MaxEvents = p.cfg.BufferBudget // placeholder; rebalance sets the real split
-	var deliver gossip.DeliverFunc
-	if p.cfg.Deliver != nil {
-		fn := p.cfg.Deliver
-		deliver = func(ev gossip.Event) { fn(topic, ev) }
-	}
-	node, err := core.NewAdaptiveNode(core.NodeConfig{
-		ID:       p.cfg.ID,
-		Gossip:   gp,
-		Adaptive: p.cfg.Adaptive,
-		Core:     p.cfg.Core,
-		Peers:    peers,
-		RNG:      p.cfg.RNG,
-		Deliver:  deliver,
-		Metrics:  p.cfg.Metrics,
-		Tracer:   p.cfg.Tracer,
-		Start:    p.cfg.Start,
+	return p.do(func(g *runtime.Groups) error {
+		if g.Node(string(topic)) != nil {
+			return fmt.Errorf("pubsub: already subscribed to %q", topic)
+		}
+		node, err := core.NewAdaptiveNode(cfg)
+		if err != nil {
+			return fmt.Errorf("pubsub: subscribe %q: %w", topic, err)
+		}
+		if err := g.Add(string(topic), node); err != nil {
+			return err
+		}
+		return p.rebalance(g)
 	})
-	if err != nil {
-		return fmt.Errorf("pubsub: subscribe %q: %w", topic, err)
-	}
-	p.topics[topic] = node
-	p.order = append(p.order, topic)
-	return p.rebalance()
 }
 
 // Unsubscribe leaves a topic; the freed budget returns to the remaining
 // subscriptions.
 func (p *Peer) Unsubscribe(topic Topic) error {
-	if _, ok := p.topics[topic]; !ok {
-		return fmt.Errorf("pubsub: not subscribed to %q", topic)
-	}
-	delete(p.topics, topic)
-	for i, t := range p.order {
-		if t == topic {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
+	return p.do(func(g *runtime.Groups) error {
+		if !g.Remove(string(topic)) {
+			return fmt.Errorf("pubsub: not subscribed to %q", topic)
 		}
-	}
-	return p.rebalance()
+		return p.rebalance(g)
+	})
 }
 
-func (p *Peer) rebalance() error {
-	per := p.BudgetPerTopic()
-	for topic, node := range p.topics {
-		if err := node.SetBufferCapacity(per); err != nil {
-			return fmt.Errorf("pubsub: rebalance %q: %w", topic, err)
+// rebalance splits the budget evenly across the subscribed topics, at
+// least one event each.
+func (p *Peer) rebalance(g *runtime.Groups) error {
+	topics := g.List()
+	if len(topics) == 0 {
+		return nil
+	}
+	per := max(p.cfg.BufferBudget/len(topics), 1)
+	for _, t := range topics {
+		if err := t.Node.SetBufferCapacity(per); err != nil {
+			return fmt.Errorf("pubsub: rebalance %q: %w", t.Tag, err)
 		}
 	}
 	return nil
@@ -189,53 +152,17 @@ func (p *Peer) rebalance() error {
 
 // Publish broadcasts payload on a subscribed topic. The bool reports
 // token-bucket admission.
-func (p *Peer) Publish(topic Topic, payload []byte, now time.Time) (gossip.Event, bool, error) {
-	node, ok := p.topics[topic]
-	if !ok {
-		return gossip.Event{}, false, fmt.Errorf("pubsub: not subscribed to %q", topic)
-	}
-	ev, admitted := node.Publish(payload, now)
-	return ev, admitted, nil
-}
-
-// Tick runs one gossip round for every subscribed topic and returns all
-// outgoing messages, each tagged with its topic. The messages alias the
-// per-topic nodes' reused round scratch: they are valid only until the
-// next Tick.
-//
-//gossip:hotpath
-//gossip:scratch
-func (p *Peer) Tick(now time.Time) []gossip.Outgoing {
-	var out []gossip.Outgoing
-	for _, topic := range p.order {
-		node := p.topics[topic]
-		outs := node.Tick(now)
-		if len(outs) == 0 {
-			continue
+func (p *Peer) Publish(topic Topic, payload []byte) (bool, error) {
+	admitted := false
+	err := p.do(func(g *runtime.Groups) error {
+		node := g.Node(string(topic))
+		if node == nil {
+			return fmt.Errorf("pubsub: not subscribed to %q", topic)
 		}
-		// All Outgoing of one tick share a single Message.
-		outs[0].Msg.Group = string(topic)
-		out = append(out, outs...)
-	}
-	return out
-}
-
-// Receive routes an incoming gossip message to its topic's node.
-// Messages for topics the peer no longer subscribes to are dropped.
-//
-// Anti-entropy recovery is not wired into the pub/sub layer:
-// PeerConfig offers no recovery knob, so the per-topic nodes never
-// produce control traffic and the discarded Receive return is always
-// nil. Wiring recovery here would require forwarding that return (and
-// Group-tagging the distinct request messages Tick would emit).
-//
-//gossip:hotpath
-func (p *Peer) Receive(msg *gossip.Message, now time.Time) {
-	node, ok := p.topics[Topic(msg.Group)]
-	if !ok {
-		return
-	}
-	node.Receive(msg, now)
+		_, admitted = node.Publish(payload, time.Now())
+		return nil
+	})
+	return admitted, err
 }
 
 // TopicState is a per-topic snapshot.
@@ -250,28 +177,26 @@ type TopicState struct {
 	Adaptive    core.AdaptiveStats
 }
 
-// State snapshots every subscription, sorted by topic.
+// State snapshots every subscription, sorted by topic: empty with no
+// subscriptions, nil when the runner is not running.
 func (p *Peer) State() []TopicState {
-	out := make([]TopicState, 0, len(p.topics))
-	for topic, node := range p.topics {
-		out = append(out, TopicState{
-			Topic:       topic,
-			BufferCap:   node.BufferCapacity(),
-			BufferLen:   node.BufferLen(),
-			AllowedRate: node.AllowedRate(),
-			AvgAge:      node.AvgAge(),
-			MinBuff:     node.MinBuffEstimate(),
-			Gossip:      node.GossipStats(),
-			Adaptive:    node.Stats(),
-		})
-	}
+	var out []TopicState
+	p.do(func(g *runtime.Groups) error {
+		out = make([]TopicState, 0, len(g.List()))
+		for _, t := range g.List() {
+			out = append(out, TopicState{
+				Topic:       Topic(t.Tag),
+				BufferCap:   t.Node.BufferCapacity(),
+				BufferLen:   t.Node.BufferLen(),
+				AllowedRate: t.Node.AllowedRate(),
+				AvgAge:      t.Node.AvgAge(),
+				MinBuff:     t.Node.MinBuffEstimate(),
+				Gossip:      t.Node.GossipStats(),
+				Adaptive:    t.Node.Stats(),
+			})
+		}
+		return nil
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Topic < out[j].Topic })
 	return out
-}
-
-// TopicNode exposes the underlying node of a subscription (tests,
-// diagnostics).
-func (p *Peer) TopicNode(topic Topic) (*core.AdaptiveNode, bool) {
-	node, ok := p.topics[topic]
-	return node, ok
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"adaptivegossip/internal/core"
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
+	"adaptivegossip/internal/recovery"
 	"adaptivegossip/internal/transport"
 )
 
@@ -171,5 +173,31 @@ func TestRunnerStopWithHandoffsInFlight(t *testing.T) {
 		if !returnsWithin(5*time.Second, wg.Wait) {
 			t.Fatalf("start=%v: a handler stayed blocked after Stop", start)
 		}
+	}
+}
+
+// TestRunnerHandoffUnknownTagReturns: a message whose tag matches no
+// hosted group leaves every group untouched, and its handler still
+// returns.
+func TestRunnerHandoffUnknownTagReturns(t *testing.T) {
+	r, h, delivered := newHandoffRunner(t)
+	r.Start()
+	defer r.Stop()
+	r.Do(func(g *Groups) {
+		if err := g.Add("t", groupNode(t, 9, recovery.Params{}, "s")); err != nil {
+			t.Error(err)
+		}
+	})
+	before := r.Snapshots()
+	msg := oneEvent(0)
+	msg.Group = "ghost"
+	if !returnsWithin(5*time.Second, func() { h(msg) }) {
+		t.Fatal("handler blocked on a message for no group")
+	}
+	if delivered.Load() != 0 {
+		t.Fatal("a message for no group was delivered")
+	}
+	if after := r.Snapshots(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a message for no group changed group state:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -77,8 +77,11 @@ func TestNewRunnerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRunner(Config{Node: nil, Transport: ep, Period: time.Second}); err == nil {
-		t.Fatal("nil node accepted")
+	// A nil node is a runner for tagged groups only; a node must belong
+	// to the transport's member.
+	other, _ := net.Endpoint("b")
+	if _, err := NewRunner(Config{Node: node, Transport: other, Period: time.Second}); err == nil {
+		t.Fatal("node on another member's transport accepted")
 	}
 	if _, err := NewRunner(Config{Node: node, Transport: nil, Period: time.Second}); err == nil {
 		t.Fatal("nil transport accepted")
@@ -123,7 +126,7 @@ func TestRunnerStopIsIdempotentAndBeforeStart(t *testing.T) {
 	r.Stop() // before Start: no hang
 	r.Stop()
 	// Do on a never-started runner returns false.
-	if ok := r.Do(func(*core.AdaptiveNode) {}); ok {
+	if ok := r.Do(func(*Groups) {}); ok {
 		t.Fatal("Do on stopped runner returned true")
 	}
 	r2 := runners[1]

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"time"
 
 	"adaptivegossip/internal/membership"
 	"adaptivegossip/internal/pubsub"
@@ -27,128 +26,72 @@ type (
 // mechanism sees. Deliveries carry the Topic in both the WithDeliver
 // callback and the Events stream.
 type PubSub struct {
-	names   []NodeID
-	fabric  Transport
-	eps     []Endpoint
-	runners []*pubsub.Runner
-	hub     *streamHub
-	obs     *groupObservability
+	g     *group
+	peers []*pubsub.Peer
 
-	mu        sync.Mutex
-	started   bool
-	epStarted int // endpoints [0, epStarted) have live receive loops
-	closed    bool
-	done      chan struct{}
-	regs      map[Topic]*membership.Registry
+	mu     sync.Mutex
+	topics map[Topic]*membership.Registry // each topic's subscribers
 }
 
 // NewPubSub builds n peers, each with the given total buffer budget,
 // with the shared option set (WithSeed, WithDeliver, WithTransport,
 // WithNamePrefix). No peer is subscribed to anything initially.
+// Config.Recovery applies per topic. Config.Failure and
+// Config.Observability.HealthDigests are refused: both are per-member
+// mechanisms with no per-topic form yet.
 func NewPubSub(n, bufferBudget int, cfg Config, opts ...Option) (*PubSub, error) {
-	o, oerr := applyOptions(facadePubSub, groupOptions{seed: 1, prefix: "peer-"}, opts)
-	// Any failure from here on closes a handed-over transport: the
-	// group owns it from the moment WithTransport is applied.
-	failEarly := func(err error) (*PubSub, error) {
-		if o.fabric != nil {
-			o.fabric.Close()
-		}
+	o, err := applyOptions(facadePubSub, groupOptions{seed: 1, prefix: "peer-"}, opts)
+	switch {
+	case err != nil:
+	case n < 2:
+		err = fmt.Errorf("adaptivegossip: pub/sub group needs at least 2 peers, got %d", n)
+	case bufferBudget <= 0:
+		err = fmt.Errorf("adaptivegossip: buffer budget must be positive, got %d", bufferBudget)
+	case cfg.Failure.Enabled:
+		err = fmt.Errorf("adaptivegossip: Config.Failure does not apply to %s", o.kind)
+	case cfg.Observability.HealthDigests:
+		err = fmt.Errorf("adaptivegossip: Config.Observability.HealthDigests does not apply to %s", o.kind)
+	}
+	// A peer's budget is its buffer capacity, split across its topics.
+	cfg.BufferCapacity = bufferBudget
+	g, err := newGroup(o, err, cfg, groupShape{
+		names:  memberNames(o.prefix, n),
+		fabric: func() (Transport, error) { return NewMemTransport(WithTransportSeed(o.seed + 0x9A9A)) },
+		rng: func(i int) *rand.Rand {
+			return rand.New(rand.NewPCG(uint64(o.seed), uint64(i)+1))
+		},
+		phaseSeed: func(i int) uint64 { return uint64(o.seed)*48271 + uint64(i) + 1 },
+		tagged:    true,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if oerr != nil {
-		return failEarly(oerr)
-	}
-	if n < 2 {
-		return failEarly(fmt.Errorf("adaptivegossip: pub/sub group needs at least 2 peers, got %d", n))
-	}
-	cfg = cfg.withDefaults()
-	gp := cfg.gossipParams()
-	gp.MaxEvents = bufferBudget
-	if err := gp.Validate(); err != nil {
-		return failEarly(fmt.Errorf("adaptivegossip: %w", err))
-	}
-	if o.fabric == nil {
-		fabric, err := NewMemTransport(WithTransportSeed(o.seed + 0x9A9A))
-		if err != nil {
-			return failEarly(err)
-		}
-		o.fabric = fabric
-	}
-	fabric := o.fabric
-	if err := applyTransportConfig(fabric, cfg.Transport); err != nil {
-		return failEarly(err)
-	}
-	c := &PubSub{
-		fabric: fabric,
-		hub:    newStreamHub(),
-		done:   make(chan struct{}),
-		regs:   make(map[Topic]*membership.Registry),
-	}
-	obs := newGroupObservability(cfg.Observability)
-	c.obs = obs
-	fail := func(err error) (*PubSub, error) {
-		fabric.Close()
-		obs.close()
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		name := NodeID(fmt.Sprintf("%s%02d", o.prefix, i))
-		c.names = append(c.names, name)
-		deliver := func(topic Topic, ev Event) {
-			d := Delivery{Node: name, Topic: topic, Event: ev}
-			c.hub.publish(d)
-			if o.deliver != nil {
-				o.deliver(d)
-			}
-		}
-		gpPeer := cfg.gossipParams()
-		gpPeer.MaxEvents = 0 // the budget drives per-topic capacity
+	c := &PubSub{g: g, topics: make(map[Topic]*membership.Registry)}
+	for i, r := range g.runners {
+		name := g.names[i]
 		peer, err := pubsub.NewPeer(pubsub.PeerConfig{
-			ID:           name,
+			Runner:       r,
 			BufferBudget: bufferBudget,
-			Gossip:       gpPeer,
-			Adaptive:     cfg.Adaptive,
-			Core:         cfg.Adaptation,
-			RNG:          rand.New(rand.NewPCG(uint64(o.seed), uint64(i)+1)),
-			Deliver:      deliver,
-			Metrics:      obs.node,
-			Tracer:       obs.tracer(),
-			Start:        time.Now(),
+			Node:         g.configs[i],
+			Deliver: func(topic Topic, ev Event) {
+				g.publish(Delivery{Node: name, Topic: topic, Event: ev})
+			},
 		})
 		if err != nil {
-			return fail(err)
+			g.close()
+			return nil, err
 		}
-		ep, err := fabric.Endpoint(name)
-		if err != nil {
-			return fail(err)
-		}
-		c.eps = append(c.eps, ep)
-		obs.attachLinks(ep)
-		r, err := pubsub.NewRunner(pubsub.RunnerConfig{
-			Peer:      peer,
-			Transport: ep,
-			Period:    cfg.Period,
-			PhaseSeed: uint64(o.seed)*48271 + uint64(i) + 1,
-			Metrics:   obs.runner,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		c.runners = append(c.runners, r)
-	}
-	if err := obs.bindServer(cfg.Observability.DebugAddr,
-		func() Stats { return c.Stats() }, c.ClusterHealth); err != nil {
-		return fail(err)
+		c.peers = append(c.peers, peer)
 	}
 	return c, nil
 }
 
 // Len reports the number of peers.
-func (c *PubSub) Len() int { return len(c.runners) }
+func (c *PubSub) Len() int { return len(c.g.runners) }
 
 // Peers returns the peer names in index order.
 func (c *PubSub) Peers() []NodeID {
-	return append([]NodeID(nil), c.names...)
+	return append([]NodeID(nil), c.g.names...)
 }
 
 // Start launches every peer. Cancelling ctx closes the group; a closed
@@ -156,61 +99,11 @@ func (c *PubSub) Peers() []NodeID {
 // passed to Start is watched, so cancelling any of them closes the
 // group. A transient endpoint failure may be retried: already started
 // endpoints are not started twice.
-func (c *PubSub) Start(ctx context.Context) error {
-	if ctx == nil {
-		return fmt.Errorf("adaptivegossip: nil context")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("adaptivegossip: pub/sub group closed")
-	}
-	if c.started {
-		watchContext(ctx, c.done, c.Close)
-		return nil
-	}
-	for ; c.epStarted < len(c.eps); c.epStarted++ {
-		if s, ok := c.eps[c.epStarted].(starter); ok {
-			if err := s.Start(); err != nil {
-				return err
-			}
-		}
-	}
-	for _, r := range c.runners {
-		r.Start()
-	}
-	c.started = true
-	watchContext(ctx, c.done, c.Close)
-	return nil
-}
+func (c *PubSub) Start(ctx context.Context) error { return c.g.start(ctx) }
 
 // Close terminates every peer, the fabric and every Events stream.
 // Idempotent; later calls return nil.
-func (c *PubSub) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.done)
-	for _, r := range c.runners {
-		r.Stop()
-	}
-	var first error
-	for _, ep := range c.eps {
-		if err := ep.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if err := c.fabric.Close(); err != nil && first == nil {
-		first = err
-	}
-	c.hub.close()
-	c.obs.close()
-	return first
-}
+func (c *PubSub) Close() error { return c.g.close() }
 
 // Events returns a stream of every delivery in the group, with Topic
 // set. From subscription onward the stream sees every delivery the
@@ -219,23 +112,16 @@ func (c *PubSub) Close() error {
 // DefaultEventStreamBuffer behind loses deliveries (counted in
 // Stats.StreamDropped).
 func (c *PubSub) Events(ctx context.Context) <-chan Delivery {
-	return c.hub.subscribe(ctx)
-}
-
-func (c *PubSub) runner(i int) (*pubsub.Runner, error) {
-	if i < 0 || i >= len(c.runners) {
-		return nil, fmt.Errorf("adaptivegossip: peer index %d out of range [0,%d)", i, len(c.runners))
-	}
-	return c.runners[i], nil
+	return c.g.hub.subscribe(ctx)
 }
 
 func (c *PubSub) registry(topic Topic) *membership.Registry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	reg, ok := c.regs[topic]
+	reg, ok := c.topics[topic]
 	if !ok {
 		reg = membership.NewRegistry()
-		c.regs[topic] = reg
+		c.topics[topic] = reg
 	}
 	return reg
 }
@@ -243,79 +129,58 @@ func (c *PubSub) registry(topic Topic) *membership.Registry {
 // Subscribe joins peer i to a topic: the peer becomes a gossip target
 // for the topic's other subscribers and re-splits its buffer budget.
 func (c *PubSub) Subscribe(i int, topic Topic) error {
-	r, err := c.runner(i)
-	if err != nil {
+	if err := c.g.check(i); err != nil {
 		return err
 	}
 	reg := c.registry(topic)
-	if err := r.Subscribe(topic, reg); err != nil {
+	if err := c.peers[i].Subscribe(topic, reg); err != nil {
 		return err
 	}
-	reg.Add(c.names[i])
+	reg.Add(c.g.names[i])
 	return nil
 }
 
 // Unsubscribe removes peer i from a topic, returning its budget share
 // to the remaining subscriptions.
 func (c *PubSub) Unsubscribe(i int, topic Topic) error {
-	r, err := c.runner(i)
-	if err != nil {
+	if err := c.g.check(i); err != nil {
 		return err
 	}
-	if err := r.Unsubscribe(topic); err != nil {
+	if err := c.peers[i].Unsubscribe(topic); err != nil {
 		return err
 	}
-	c.registry(topic).Remove(c.names[i])
+	c.registry(topic).Remove(c.g.names[i])
 	return nil
 }
 
 // Publish broadcasts payload from peer i on topic, reporting admission.
 func (c *PubSub) Publish(i int, topic Topic, payload []byte) (bool, error) {
-	r, err := c.runner(i)
-	if err != nil {
+	if err := c.g.check(i); err != nil {
 		return false, err
 	}
-	return r.Publish(topic, payload)
+	return c.peers[i].Publish(topic, payload)
 }
 
 // State snapshots peer i's subscriptions.
 func (c *PubSub) State(i int) ([]TopicState, error) {
-	r, err := c.runner(i)
-	if err != nil {
+	if err := c.g.check(i); err != nil {
 		return nil, err
 	}
-	return r.State(), nil
+	return c.peers[i].State(), nil
 }
 
 // Stats aggregates the unified counter snapshot across all peers and
 // topics: Nodes counts peers, the rate triple summarizes per-topic
 // allowances.
-func (c *PubSub) Stats() Stats {
-	var st Stats
-	for _, r := range c.runners {
-		for _, ts := range r.State() {
-			st.addRates(ts.AllowedRate)
-			st.Published += ts.Adaptive.Published
-			st.Delivered += ts.Gossip.Delivered
-			st.DroppedCapacity += ts.Gossip.DroppedCapacity
-			st.DroppedExpired += ts.Gossip.DroppedExpired
-			st.MessagesSent += ts.Gossip.MessagesSent
-		}
-	}
-	st.Nodes = len(c.runners)
-	st.StreamDropped = c.hub.droppedCount()
-	st.addWire(c.fabric)
-	st.addPeers(c.obs.peers)
-	return st
-}
+func (c *PubSub) Stats() Stats { return c.g.stats() }
 
 // ClusterHealth returns the group's converged health view — the same
 // shape the other facades expose, so monitoring code is deployment
-// agnostic. Topic-level groups do not disseminate health digests (a
-// peer's budget re-splits across subscriptions faster than digests
-// would converge), so the view is always empty.
-func (c *PubSub) ClusterHealth() []MemberHealth { return nil }
+// agnostic. Health digests are a per-member mechanism with no
+// per-topic form yet: NewPubSub refuses them, so the view is always
+// empty.
+func (c *PubSub) ClusterHealth() []MemberHealth { return c.g.clusterHealth() }
 
 // DebugAddr returns the bound address of the debug HTTP listener, or
 // "" when Config.Observability.DebugAddr was empty.
-func (c *PubSub) DebugAddr() string { return c.obs.debugAddr() }
+func (c *PubSub) DebugAddr() string { return c.g.obs.debugAddr() }

@@ -2,7 +2,9 @@ package adaptivegossip
 
 import (
 	"context"
+	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -220,5 +222,110 @@ func TestPubSubUnsubscribeRebalancesLive(t *testing.T) {
 	st, _ = cluster.State(0)
 	if len(st) != 2 || st[0].BufferCap != 15 {
 		t.Fatalf("state after unsubscribe %+v", st)
+	}
+}
+
+// TestFacadesValidateAlike runs the same configurations through all
+// three constructors: every facade validates Config alike, and
+// NewPubSub alone refuses the per-member mechanisms it has no per-topic
+// form of (failure detection, health digests).
+func TestFacadesValidateAlike(t *testing.T) {
+	mem := func() Transport {
+		tr, err := NewMemTransport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	build := map[string]func(Config) (io.Closer, error){
+		"NewNode": func(cfg Config) (io.Closer, error) {
+			return NewNode("v", cfg, WithTransport(mem()))
+		},
+		"NewCluster": func(cfg Config) (io.Closer, error) {
+			return NewCluster(3, cfg, WithTransport(mem()))
+		},
+		"NewPubSub": func(cfg Config) (io.Closer, error) {
+			return NewPubSub(3, 40, cfg, WithTransport(mem()))
+		},
+	}
+	cases := []struct {
+		name       string
+		mutate     func(*Config)
+		pubsubOnly bool
+	}{
+		{"trace sample rate 2", func(c *Config) { c.Observability.TraceSampleRate = 2 }, false},
+		{"trace buffer size -1", func(c *Config) { c.Observability.TraceBufferSize = -1 }, false},
+		{"recovery digest length -5", func(c *Config) { c.Recovery = RecoveryConfig{Enabled: true, DigestLength: -5} }, false},
+		{"failure detection", func(c *Config) { c.Failure.Enabled = true }, true},
+		{"health digests", func(c *Config) { c.Observability.HealthDigests = true }, true},
+	}
+	for _, tc := range cases {
+		for facade, fn := range build {
+			cfg := fastConfig()
+			tc.mutate(&cfg)
+			group, err := fn(cfg)
+			wantErr := !tc.pubsubOnly || facade == "NewPubSub"
+			if err == nil {
+				group.Close()
+			}
+			if (err != nil) != wantErr {
+				t.Errorf("%s with %s: error %v, want error %v", facade, tc.name, err, wantErr)
+			}
+		}
+	}
+}
+
+// TestPubSubRecoversUnderLoss: Config.Recovery applies per topic — on a
+// lossy fabric with fanout 1 and short-lived events, pull repair
+// completes delivery and shows in Stats.EventsRecovered.
+func TestPubSubRecoversUnderLoss(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Fanout = 1
+	cfg.MaxAge = 3
+	cfg.Recovery.Enabled = true
+	fabric, err := NewMemTransport(WithTransportSeed(11), WithLoss(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const peers, events = 8, 10
+	var delivered atomic.Int64
+	ps, err := NewPubSub(peers, 40, cfg,
+		WithSeed(11),
+		WithTransport(fabric),
+		WithDeliver(func(d Delivery) { delivered.Add(1) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	for i := 0; i < peers; i++ {
+		if err := ps.Subscribe(i, "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sent := 0
+	for i := 0; i < events; i++ {
+		ok, err := ps.Publish(i%2, "t", []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			sent++
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	want := int64(sent * peers)
+	deadline := time.Now().Add(10 * time.Second)
+	for delivered.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := delivered.Load(); got != want {
+		t.Fatalf("delivered %d of %d under loss with recovery enabled", got, want)
+	}
+	if st := ps.Stats(); st.EventsRecovered == 0 {
+		t.Error("full delivery but no events recovered — loss regime too soft to exercise recovery")
 	}
 }

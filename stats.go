@@ -258,7 +258,7 @@ func (s *Stats) addWire(fabric Transport) {
 	s.RecvQueueDrops = w.RecvQueueDrops
 }
 
-// add folds one member's runtime snapshot into the aggregate.
+// add folds one hosted group's runtime snapshot into the aggregate.
 func (s *Stats) add(snap runtime.NodeSnapshot) {
 	s.addRates(snap.AllowedRate)
 	s.Published += snap.Adaptive.Published
