@@ -41,19 +41,20 @@ func DefaultWirecostConfig() WirecostConfig {
 // encode-once SendMany path against the per-peer-encode baseline (the
 // allocation axis) and the three wire generations against each other
 // (the bytes axis): legacy row-wise v4 frames, columnar
-// delta-encoded v5 frames, and v5 with flate payload compression.
+// delta-encoded current (v6) frames, and v6 with flate payload
+// compression.
 type WirecostRow struct {
 	Fanout int
-	// BytesPerRound is the v5 columnar wire cost of one round — the
+	// BytesPerRound is the v6 columnar wire cost of one round — the
 	// format the default codec speaks.
 	BytesPerRound float64
 	// V4BytesPerRound is the same round encoded row-wise as wire v4:
 	// every event repeats its origin and carries fixed-width seq/age.
 	V4BytesPerRound float64
-	// CompressedBytesPerRound is the same round as v5 with the flate
+	// CompressedBytesPerRound is the same round as v6 with the flate
 	// compressor on the event section.
 	CompressedBytesPerRound float64
-	// Allocations per round, sender side (v5 path).
+	// Allocations per round, sender side (v6 path).
 	EncodeOnceAllocs float64
 	PerPeerAllocs    float64
 }
@@ -70,7 +71,7 @@ func (r WirecostRow) AllocRatio() float64 {
 }
 
 // CompressionRatio reports how many times fewer bytes one round costs
-// as compressed v5 compared to the v4 baseline.
+// as compressed v6 compared to the v4 baseline.
 func (r WirecostRow) CompressionRatio() float64 {
 	den := r.CompressedBytesPerRound
 	if den < 1 {
@@ -83,7 +84,7 @@ func (r WirecostRow) CompressionRatio() float64 {
 // loopback UDP sockets. The receiver sockets are bound but never read —
 // the measurement isolates the sender's encode+write work, which is the
 // hot path the encode-once fanout optimizes. Three sender sockets carry
-// the same round: one per wire arm (v4, v5, v5+flate), so the byte
+// the same round: one per wire arm (v4, v6, v6+flate), so the byte
 // columns come from real datagram writes, not size arithmetic.
 func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 	if len(cfg.Fanouts) == 0 || cfg.Events < 0 || cfg.Payload < 0 || cfg.Rounds < 1 {
@@ -158,7 +159,7 @@ func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 		})
 		after := sender.Stats()
 		// AllocsPerRun invokes the round once extra as warmup.
-		v5Bytes := float64(after.SentBytes-before.SentBytes) / float64(cfg.Rounds+1)
+		v6Bytes := float64(after.SentBytes-before.SentBytes) / float64(cfg.Rounds+1)
 		v4Bytes, err := bytesPerRound(senderV4, tos)
 		if err != nil {
 			return nil, err
@@ -178,7 +179,7 @@ func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 		})
 		rows = append(rows, WirecostRow{
 			Fanout:                  fanout,
-			BytesPerRound:           v5Bytes,
+			BytesPerRound:           v6Bytes,
 			V4BytesPerRound:         v4Bytes,
 			CompressedBytesPerRound: compBytes,
 			EncodeOnceAllocs:        encodeOnce,
@@ -214,7 +215,7 @@ func wirecostMessage(events, payload int) *gossip.Message {
 func RenderWirecost(w io.Writer, cfg WirecostConfig, rows []WirecostRow) {
 	fmt.Fprintf(w, "# Wirecost — per-round send cost vs fanout (loopback UDP, %d events × %d B)\n",
 		cfg.Events, cfg.Payload)
-	fmt.Fprintln(w, "# fanout  v4-bytes/rnd  v5-bytes/rnd  v5+flate/rnd  v4/flate  allocs/round(encode-once)  allocs/round(per-peer)  ratio")
+	fmt.Fprintln(w, "# fanout  v4-bytes/rnd  v6-bytes/rnd  v6+flate/rnd  v4/flate  allocs/round(encode-once)  allocs/round(per-peer)  ratio")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%8d  %12.0f  %12.0f  %12.0f  %7.1fx  %25.1f  %22.1f  %5.1fx\n",
 			r.Fanout, r.V4BytesPerRound, r.BytesPerRound, r.CompressedBytesPerRound,

@@ -41,14 +41,14 @@ func TestRunWirecostEncodeIndependentOfFanout(t *testing.T) {
 	if eight.AllocRatio() < 4 {
 		t.Fatalf("encode-once only %vx cheaper at fanout 8, want >= 4x", eight.AllocRatio())
 	}
-	// Wire-generation comparison at fanout 8: columnar v5 never costs
-	// more than row-wise v4, and compressed v5 meets the tentpole's 3×
-	// reduction against the v4 baseline.
+	// Wire-generation comparison at fanout 8: columnar v6 never costs
+	// more than row-wise v4, and compressed v6 is at least 3× smaller
+	// than the v4 baseline.
 	if eight.BytesPerRound > eight.V4BytesPerRound {
-		t.Fatalf("v5 costs more than v4: %v vs %v bytes/round", eight.BytesPerRound, eight.V4BytesPerRound)
+		t.Fatalf("v6 costs more than v4: %v vs %v bytes/round", eight.BytesPerRound, eight.V4BytesPerRound)
 	}
 	if 3*eight.CompressedBytesPerRound > eight.V4BytesPerRound {
-		t.Fatalf("v5+flate only %.1fx smaller than v4 at fanout 8, want >= 3x (%v vs %v bytes/round)",
+		t.Fatalf("v6+flate only %.1fx smaller than v4 at fanout 8, want >= 3x (%v vs %v bytes/round)",
 			eight.CompressionRatio(), eight.CompressedBytesPerRound, eight.V4BytesPerRound)
 	}
 

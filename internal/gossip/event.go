@@ -57,22 +57,6 @@ type Event struct {
 	Hop int
 }
 
-// NextEventRun returns the end index (exclusive) of the run of
-// consecutive events sharing events[start]'s origin. Runs are the unit
-// of the columnar wire encoding (wire v5 writes each origin once per
-// run) and of datagram fragmentation (EncodeChunks cuts on run
-// boundaries). start must be a valid index.
-//
-//gossip:hotpath
-func NextEventRun(events []Event, start int) int {
-	origin := events[start].ID.Origin
-	end := start + 1
-	for end < len(events) && events[end].ID.Origin == origin {
-		end++
-	}
-	return end
-}
-
 // Clone returns a deep copy of the event, including the payload. Events
 // exchanged through in-process transports share payload slices by
 // convention (they are read-only after Broadcast); Clone is for callers

@@ -87,16 +87,13 @@ func (c *IDCache) SetCapacity(capacity int) error {
 	return nil
 }
 
-// IDs returns the remembered identifiers from oldest to newest. The
-// recovery subsystem builds its gossip digests from a small IDCache via
-// this accessor.
-func (c *IDCache) IDs() []EventID {
-	out := make([]EventID, 0, c.size)
+// AppendIDs appends the remembered identifiers to dst from oldest to
+// newest and returns the extended slice. The recovery subsystem builds
+// its gossip digests from a small IDCache via this accessor, reusing
+// one slice across rounds.
+func (c *IDCache) AppendIDs(dst []EventID) []EventID {
 	for i := 0; i < c.size; i++ {
-		out = append(out, c.ring[(c.head+i)%c.capacity])
+		dst = append(dst, c.ring[(c.head+i)%c.capacity])
 	}
-	return out
+	return dst
 }
-
-// oldest returns the identifiers from oldest to newest. Test helper.
-func (c *IDCache) oldest() []EventID { return c.IDs() }

@@ -24,7 +24,9 @@
 package recovery
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"adaptivegossip/internal/gossip"
 )
@@ -227,10 +229,11 @@ type missingEntry struct {
 // gossip.Extension (digest piggybacking, digest diffing, store
 // maintenance) and queues the control messages drivers must send.
 type Engine struct {
-	params Params
-	digest *gossip.IDCache // recently-seen ids, digest source
-	store  *store
-	round  uint64
+	params    Params
+	digest    *gossip.IDCache  // recently-seen ids, digest source
+	digestBuf []gossip.EventID // this round's digest, reused across ticks
+	store     *store
+	round     uint64
 
 	missing   map[gossip.EventID]*missingEntry
 	missOrder []gossip.EventID // FIFO of advertisement order; may hold stale ids
@@ -295,11 +298,24 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	for _, ev := range out.Events {
 		e.observe(ev, false)
 	}
-	if ids := e.digest.IDs(); len(ids) > 0 {
-		out.Digest = ids
+	// The digest goes out sorted by (origin, seq): the wire encodes it
+	// in same-origin runs of seq deltas. out is the node's round
+	// scratch, valid until the next Tick, so the slice is reused.
+	e.digestBuf = e.digest.AppendIDs(e.digestBuf[:0])
+	if len(e.digestBuf) > 0 {
+		slices.SortFunc(e.digestBuf, compareIDs)
+		out.Digest = e.digestBuf
 		e.stats.DigestsSent++
 	}
 	e.buildRequests(n)
+}
+
+// compareIDs orders event ids by origin, then seq.
+func compareIDs(a, b gossip.EventID) int {
+	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // OnReceive handles the three message kinds: gossip (store events,

@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -337,5 +338,55 @@ func TestDiffDigest(t *testing.T) {
 	missing := DiffDigest(n, []gossip.EventID{have.ID, want})
 	if len(missing) != 1 || missing[0] != want {
 		t.Errorf("DiffDigest = %v, want [%v]", missing, want)
+	}
+}
+
+// TestEngineTickAllocFree: a steady-state OnTick (the buffer snapshot
+// already stored, nothing missing) allocates nothing. The digest is
+// built into an engine-owned slice and sorted in place.
+func TestEngineTickAllocFree(t *testing.T) {
+	reg := membership.NewRegistry("a", "b")
+	eng := newTestEngine(t, Params{})
+	n := newTestNode(t, "a", reg, eng)
+	out := &gossip.Message{}
+	for i := 0; i < 96; i++ {
+		out.Events = append(out.Events, gossip.Event{
+			ID: gossip.EventID{Origin: gossip.NodeID(fmt.Sprintf("o%02d", i%16)), Seq: uint64(100 + i/16)},
+		})
+	}
+	eng.OnTick(n, out)
+	if len(out.Digest) != len(out.Events) {
+		t.Fatalf("digest advertises %d ids, want %d", len(out.Digest), len(out.Events))
+	}
+	allocs := testing.AllocsPerRun(200, func() { eng.OnTick(n, out) })
+	if allocs != 0 {
+		t.Fatalf("steady-state OnTick allocates %v times, want 0", allocs)
+	}
+}
+
+// TestDigestSortedByOriginThenSeq: the digest goes out ordered by
+// (origin, seq), whatever the order the ids were seen in, and
+// advertises the same ids the id cache holds.
+func TestDigestSortedByOriginThenSeq(t *testing.T) {
+	reg := membership.NewRegistry("a", "b")
+	eng := newTestEngine(t, Params{DigestLen: 8})
+	n := newTestNode(t, "a", reg, eng)
+	seen := []gossip.EventID{
+		{Origin: "c", Seq: 2}, {Origin: "a", Seq: 9}, {Origin: "b", Seq: 1}, {Origin: "a", Seq: 3},
+		{Origin: "c", Seq: 1}, {Origin: "a", Seq: 10}, {Origin: "b", Seq: 0}, {Origin: "c", Seq: 7},
+		{Origin: "b", Seq: 4}, {Origin: "a", Seq: 4}, // evict the first two seen
+	}
+	out := &gossip.Message{}
+	for _, id := range seen {
+		out.Events = append(out.Events, gossip.Event{ID: id})
+	}
+	eng.OnTick(n, out)
+	want := []gossip.EventID{
+		{Origin: "a", Seq: 3}, {Origin: "a", Seq: 4}, {Origin: "a", Seq: 10},
+		{Origin: "b", Seq: 0}, {Origin: "b", Seq: 1}, {Origin: "b", Seq: 4},
+		{Origin: "c", Seq: 1}, {Origin: "c", Seq: 7},
+	}
+	if !slices.Equal(out.Digest, want) {
+		t.Fatalf("digest = %v, want %v", out.Digest, want)
 	}
 }

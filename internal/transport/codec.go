@@ -15,17 +15,18 @@ import (
 	"adaptivegossip/internal/gossip"
 )
 
-// Wire format v5 (big endian fixed-width fields, unsigned varints where
+// Wire format v6 (big endian fixed-width fields, unsigned varints where
 // noted). The codec is layered: the frame and control encoding lives in
-// frame.go, the columnar event section in events.go, the compression
-// seam in compress.go; this file orchestrates them.
+// frame.go, the columnar id runs shared by the id lists and the event
+// section in columns.go, the event section in events.go, the
+// compression seam in compress.go; this file orchestrates them.
 //
 //	magic   [3]byte "AGB"
-//	version u8      = 5
+//	version u8      = 6
 //	flags   u8      bit0: adaptation header present
 //	                bit1: group tag present
 //	                bit2: trace context present
-//	                bit3: event section compressed (v5)
+//	                bit3: event section compressed (v5+)
 //	kind    u8      message kind (gossip | recovery request/response |
 //	                ping | ping-ack | ping-req)
 //	from    u16 len + bytes
@@ -33,8 +34,10 @@ import (
 //	round   u64
 //	[if adaptive] samplePeriod u64, minBuff i32
 //	kmin    u16 count, each: node u16 len + bytes, cap i32
-//	digest  u16 count, each: origin u16 len + bytes, seq u64
-//	request u16 count, each: origin u16 len + bytes, seq u64
+//	digest  uvarint count (<= 65535), then runs of same-origin ids,
+//	        each: origin uvarint len + bytes, runLen uvarint (>= 1),
+//	        first seq uvarint, runLen-1 zigzag seq deltas (columns.go)
+//	request same layout as digest
 //	probe   u16 len + bytes
 //	probeSeq u64
 //	updates u16 count, each: node u16 len + bytes, status u8,
@@ -42,13 +45,12 @@ import (
 //	subs    u16 count, each: u16 len + bytes
 //	unsubs  u16 count, each: u16 len + bytes
 //	health  u16 count, each:
-//	        node u16 len + bytes, round u64, wallMillis u64,
-//	        published u64, delivered u64, droppedCapacity u64,
-//	        droppedExpired u64, messagesSent u64, messagesReceived u64,
-//	        bytesSent u64, bytesReceived u64,
-//	        bufferLen i32, bufferCap i32,
-//	        hopsCount u64, hopsSum u64,
-//	        buckets u8 count, each: index u8, value u64
+//	        node u16 len + bytes, then uvarints: round, wallMillis,
+//	        published, delivered, droppedCapacity, droppedExpired,
+//	        messagesSent, messagesReceived, bytesSent, bytesReceived;
+//	        bufferLen, bufferCap zigzag uvarints (int32 range);
+//	        hopsCount, hopsSum uvarints,
+//	        buckets u8 count, each: index u8, value uvarint
 //	        (bucket indexes strictly increasing, values non-zero —
 //	        the canonical form, enforced on decode)
 //	event section (last):
@@ -66,8 +68,12 @@ import (
 // event list behind the control fields into a length-prefixed section,
 // re-encoded it columnar (origins written once per run, seqs and ages
 // zigzag-delta varints — events.go) and added the compression seam
-// (compress.go). Version 4 and 3 payloads still decode; older versions
-// are rejected.
+// (compress.go). Version 6 re-encoded the digest and request id lists
+// in the same columnar runs (v5: u16 count, each id a u16-length
+// origin and a u64 seq) and the health-digest counters as varints (v5:
+// u64 counters and bucket values, i32 buffer values). Versions 5, 4
+// and 3 still decode; older versions are rejected. The encoder writes
+// v6, or v4 for interop experiments; it keeps no v5 encoder.
 
 // Codec encodes and decodes gossip messages with hard limits that bound
 // the memory a hostile or corrupt datagram can make the decoder commit.
@@ -79,14 +85,15 @@ type Codec struct {
 	// MaxEvents bounds the events per message accepted when decoding.
 	MaxEvents int
 
-	// WireVersion selects the encoding version: 0 (the default) and 5
+	// WireVersion selects the encoding version: 0 (the default) and 6
 	// encode the current columnar format, 4 the legacy inline format
-	// (for interop experiments and the wirecost comparison arm).
-	// Decoding always accepts every supported version.
+	// (for interop experiments and the wirecost comparison arm). Any
+	// other value, 5 included, is refused. Decoding always accepts
+	// every supported version (6, 5, 4, 3).
 	WireVersion int
 	// Compression, when non-nil, compresses the event section of every
-	// encoded v5 frame (falling back to stored form when compression
-	// does not pay). Decoding is independent: compressed frames from
+	// encoded v6 frame that carries events (falling back to stored form
+	// when compression does not pay). Decoding is independent: compressed frames from
 	// peers decode regardless of this setting.
 	Compression Compressor
 	// Stats, when non-nil, accumulates pre-/post-compression event
@@ -95,7 +102,7 @@ type Codec struct {
 }
 
 // CodecStats counts event-section bytes before and after compression,
-// accumulated atomically across every v5 encode through the codec.
+// accumulated atomically across every v6 encode through the codec.
 // Equal counters mean compression is off (or never paid for itself).
 type CodecStats struct {
 	PreCompressionBytes  atomic.Uint64
@@ -176,13 +183,16 @@ func (c Codec) appendEncode(buf []byte, m *gossip.Message) []byte {
 	if c.WireVersion == wireV4 {
 		return c.appendEncodeV4(buf, m)
 	}
-	if c.Compression != nil && c.Compression.ID() != compressorNone {
+	// A section with no events is one count byte that compression can
+	// only grow: skip the compressor (and its per-call reset) and write
+	// the stored form it would fall back to.
+	if c.Compression != nil && c.Compression.ID() != compressorNone && len(m.Events) > 0 {
 		//gossip:allocok compression is an opt-in slow path traded against wire bytes; the zero-alloc contract covers the default stored encode
 		return c.appendEncodeCompressed(buf, m)
 	}
 	buf = appendFrame(buf, codecVersion, m)
-	buf = appendControlPre(buf, m)
-	buf = appendControlPost(buf, m)
+	buf = appendControlPre(buf, codecVersion, m)
+	buf = appendControlPost(buf, codecVersion, m)
 	rawLen := eventSectionSize(m)
 	buf = binary.AppendUvarint(buf, uint64(rawLen))
 	buf = append(buf, compressorNone)
@@ -200,23 +210,23 @@ func (c Codec) appendEncode(buf []byte, m *gossip.Message) []byte {
 //gossip:hotpath
 func (c Codec) appendEncodeV4(buf []byte, m *gossip.Message) []byte {
 	buf = appendFrame(buf, wireV4, m)
-	buf = appendControlPre(buf, m)
+	buf = appendControlPre(buf, wireV4, m)
 	buf = appendEventsV4(buf, m)
-	buf = appendControlPost(buf, m)
+	buf = appendControlPost(buf, wireV4, m)
 	return buf
 }
 
-// appendEncodeCompressed writes a v5 frame with the event section run
-// through the configured compressor, storing the section raw when
-// compression does not pay — which keeps the uncompressed EncodedSize
-// an upper bound for buffer sizing either way. The compress flag is
-// patched into the already-written frame header once the decision is
-// made.
+// appendEncodeCompressed writes a current-version frame with the event
+// section run through the configured compressor, storing the section
+// raw when compression does not pay — which keeps the uncompressed
+// EncodedSize an upper bound for buffer sizing either way. The compress
+// flag is patched into the already-written frame header once the
+// decision is made.
 func (c Codec) appendEncodeCompressed(buf []byte, m *gossip.Message) []byte {
 	flagOff := len(buf) + 4 // magic(3) + version(1)
 	buf = appendFrame(buf, codecVersion, m)
-	buf = appendControlPre(buf, m)
-	buf = appendControlPost(buf, m)
+	buf = appendControlPre(buf, codecVersion, m)
+	buf = appendControlPost(buf, codecVersion, m)
 	sp := sectionPool.Get().(*[]byte)
 	raw := appendEventSection((*sp)[:0], m)
 	rawLen := len(raw)
@@ -312,6 +322,11 @@ func (c Codec) validateForEncode(m *gossip.Message) error {
 		if len(d.Node) > c.MaxIDLen {
 			return fmt.Errorf("%w: health digest id %d bytes", ErrTooLarge, len(d.Node))
 		}
+		// The buffer values travel as an i32 (v4) or an int32-bounded
+		// zigzag varint (v6): reject what would not round-trip.
+		if int64(int32(d.BufferLen)) != int64(d.BufferLen) || int64(int32(d.BufferCap)) != int64(d.BufferCap) {
+			return fmt.Errorf("%w: health buffer %d/%d outside int32", ErrTooLarge, d.BufferLen, d.BufferCap)
+		}
 	}
 	for _, e := range m.KMin {
 		if len(e.Node) > c.MaxIDLen {
@@ -335,14 +350,23 @@ func (c Codec) validateForEncode(m *gossip.Message) error {
 // compression would not shrink the section).
 func (c Codec) EncodedSize(m *gossip.Message) int { return c.encodedSize(m) }
 
+// encodeVersion is the wire version the codec writes.
+func (c Codec) encodeVersion() byte {
+	if c.WireVersion == wireV4 {
+		return wireV4
+	}
+	return codecVersion
+}
+
 // encodedSize returns the (uncompressed) encoding size of m.
 func (c Codec) encodedSize(m *gossip.Message) int {
-	if c.WireVersion == wireV4 {
-		return frameHdrBytes + controlPreSize(m) + eventsSizeV4(m) + controlPostSize(m)
+	v := c.encodeVersion()
+	n := frameHdrBytes + controlPreSize(v, m) + controlPostSize(v, m)
+	if v == wireV4 {
+		return n + eventsSizeV4(m)
 	}
 	raw := eventSectionSize(m)
-	return frameHdrBytes + controlPreSize(m) + controlPostSize(m) +
-		uvarintLen(uint64(raw)) + 1 + raw
+	return n + uvarintLen(uint64(raw)) + 1 + raw
 }
 
 // chunkSizer tracks the exact encoded size of a chunk under
@@ -360,10 +384,11 @@ type chunkSizer struct {
 }
 
 func (c Codec) newChunkSizer(hdr *gossip.Message) chunkSizer {
+	v := c.encodeVersion()
 	return chunkSizer{
-		v4:     c.WireVersion == wireV4,
+		v4:     v == wireV4,
 		traced: hdr.Traced,
-		header: frameHdrBytes + controlPreSize(hdr) + controlPostSize(hdr),
+		header: frameHdrBytes + controlPreSize(v, hdr) + controlPostSize(v, hdr),
 	}
 }
 
@@ -401,12 +426,10 @@ func (s *chunkSizer) marginal(ev gossip.Event) int {
 	var d int
 	if s.count > 0 && s.prev.ID.Origin == ev.ID.Origin {
 		d += uvarintLen(uint64(s.runLen+1)) - uvarintLen(uint64(s.runLen))
-		d += uvarintLen(zigzag(int64(ev.ID.Seq - s.prev.ID.Seq)))
+		d += uvarintLen(seqDelta(s.prev.ID.Seq, ev.ID.Seq))
 		d += uvarintLen(zigzag(int64(ev.Age) - int64(s.prev.Age)))
 	} else {
-		d += uvarintLen(uint64(len(ev.ID.Origin))) + len(ev.ID.Origin)
-		d += 1 // runLen = 1
-		d += uvarintLen(ev.ID.Seq)
+		d += runHeadSize(ev.ID, 1)
 		d += uvarintLen(uint64(ev.Age))
 	}
 	if s.traced {
@@ -496,7 +519,7 @@ func (c Codec) EncodeChunks(m *gossip.Message, maxSize int) ([][]byte, error) {
 	return append(chunks, enc), nil
 }
 
-// Decode parses a message of any supported wire version (5, 4, 3),
+// Decode parses a message of any supported wire version (6, 5, 4, 3),
 // enforcing the codec limits. The returned message owns all of its
 // memory. (A UDP endpoint decodes with the same parser into a reused,
 // borrowed message instead; see scratch.go.)
@@ -521,7 +544,7 @@ func (c Codec) decode(data []byte, m *gossip.Message, sc *decodeScratch) error {
 		return ErrBadMagic
 	}
 	version := data[3]
-	if version != codecVersion && version != wireV4 && version != wireV3 {
+	if version < wireV3 || version > codecVersion {
 		return ErrBadMagic
 	}
 	r.off = 4
@@ -541,11 +564,11 @@ func (c Codec) decode(data []byte, m *gossip.Message, sc *decodeScratch) error {
 		return fmt.Errorf("transport: unknown message kind %d", kind)
 	}
 	m.Kind = gossip.MessageKind(kind)
-	if err := c.decodeControlPre(r, m, flags, sc); err != nil {
+	if err := c.decodeControlPre(r, m, version, flags, sc); err != nil {
 		return err
 	}
-	if version == codecVersion {
-		if err := c.decodeControlPost(r, m, true, sc); err != nil {
+	if version >= wireV5 {
+		if err := c.decodeControlPost(r, m, version, sc); err != nil {
 			return err
 		}
 		rows, err := c.readEventSection(r, flags, sc)
@@ -562,7 +585,7 @@ func (c Codec) decode(data []byte, m *gossip.Message, sc *decodeScratch) error {
 	if err := c.decodeEventsV4(r, m, sc); err != nil {
 		return err
 	}
-	if err := c.decodeControlPost(r, m, version == wireV4, sc); err != nil {
+	if err := c.decodeControlPost(r, m, version, sc); err != nil {
 		return err
 	}
 	if r.off != len(data) {
@@ -571,7 +594,7 @@ func (c Codec) decode(data []byte, m *gossip.Message, sc *decodeScratch) error {
 	return nil
 }
 
-// readEventSection consumes the v5 event section framing and returns
+// readEventSection consumes the v5+ event section framing and returns
 // the (decompressed) columnar rows. The advertised raw length is capped
 // both absolutely and relative to the compressed input so a hostile
 // frame cannot turn a small datagram into an unbounded allocation

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -143,8 +144,10 @@ func TestCodecChunkingKeepsRecoveryHeadersOnFirstChunk(t *testing.T) {
 func TestCodecChunkingTrimsDigestForSmallDatagrams(t *testing.T) {
 	c := DefaultCodec()
 	m := &gossip.Message{From: "sender"}
-	for i := 0; i < 256; i++ { // ~4KB of digest alone
-		m.Digest = append(m.Digest, gossip.EventID{Origin: "some-origin", Seq: uint64(i)})
+	// ~4KB of digest alone: 64 origins taking turns, so every id is a
+	// run of its own in the columnar id list.
+	for i := 0; i < 256; i++ {
+		m.Digest = append(m.Digest, gossip.EventID{Origin: gossip.NodeID(fmt.Sprintf("some-origin-%02d", i%64)), Seq: uint64(i)})
 	}
 	for i := 0; i < 50; i++ {
 		m.Events = append(m.Events, gossip.Event{
@@ -183,8 +186,10 @@ func TestCodecChunkingTrimsDigestForSmallDatagrams(t *testing.T) {
 func TestCodecChunkingRejectsOversizedHeader(t *testing.T) {
 	c := DefaultCodec()
 	m := &gossip.Message{Kind: gossip.KindRecoveryRequest, From: "puller"}
-	for i := 0; i < 200; i++ { // requests are not trimmable
-		m.Request = append(m.Request, gossip.EventID{Origin: "some-long-origin-name", Seq: uint64(i)})
+	// Requests are not trimmable. Eight origins taking turns make every
+	// id a run of its own, ~5KB against the 600 B bound.
+	for i := 0; i < 200; i++ {
+		m.Request = append(m.Request, gossip.EventID{Origin: gossip.NodeID(fmt.Sprintf("some-long-origin-name-%d", i%8)), Seq: uint64(i)})
 	}
 	if _, err := c.EncodeChunks(m, 600); err == nil {
 		t.Fatal("oversized untrimmable header accepted")
@@ -343,13 +348,20 @@ func FuzzCodecDecode(f *testing.F) {
 			f.Add(noflag)
 		}
 	}
+	// Golden frames of every version, as the encoders of their day wrote
+	// them (testdata/).
+	for _, g := range goldenFrames {
+		f.Add(readGolden(f, g.file))
+	}
 	f.Add([]byte{})
 	f.Add([]byte("AGB"))
 	f.Add([]byte{'A', 'G', 'B', 1}) // old version: must be rejected
-	// Spoofed digest count (0xFFFF) in a tiny datagram: the decoder
-	// must fail on truncation without committing large allocations.
-	f.Add([]byte{'A', 'G', 'B', codecVersion, 0, 0, 0, 1, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
-	// Spoofed health count in a minimal v5 message (the health count is
+	// Spoofed digest count (0xFFFF fixed-width, 65535 as a v6 uvarint)
+	// in a tiny datagram: the decoder must fail on truncation without
+	// committing large allocations.
+	f.Add([]byte{'A', 'G', 'B', wireV5, 0, 0, 0, 1, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
+	f.Add([]byte{'A', 'G', 'B', codecVersion, 0, 0, 0, 1, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0x03})
+	// Spoofed health count in a minimal message (the health count is
 	// the 2 bytes before the 3-byte empty event section).
 	if data, err := c.Encode(&gossip.Message{From: "x"}); err == nil {
 		spoof := append([]byte(nil), data[:len(data)-5]...)

@@ -185,9 +185,13 @@ func TestCodecRejectsNonCanonicalHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The histogram tail ends the control fields: ... nb, (idx,val)*,
-	// followed only by the empty event section (3 bytes in v5). Locate
-	// the first bucket index byte from the end: 3 entries of 9 bytes.
-	idxPos := len(data) - 3 - 3*9
+	// followed only by the empty event section (3 bytes). Locate the
+	// first bucket index byte from the end: 3 entries of an index byte
+	// and a uvarint value (12, 200 and 128 take 1, 2 and 2 bytes).
+	idxPos := len(data) - 3 - (3 + 1 + 2 + 2)
+	if data[idxPos-1] != 3 || data[idxPos] != 0 || data[idxPos+1] != 12 {
+		t.Fatalf("histogram tail not at offset %d: % x", idxPos, data[idxPos-1:])
+	}
 	corrupt := func(mutate func([]byte)) []byte {
 		d := append([]byte(nil), data...)
 		mutate(d)
@@ -199,11 +203,7 @@ func TestCodecRejectsNonCanonicalHealth(t *testing.T) {
 	if _, err := c.Decode(corrupt(func(d []byte) { d[idxPos] = 60 })); err == nil {
 		t.Error("descending bucket indexes accepted")
 	}
-	if _, err := c.Decode(corrupt(func(d []byte) {
-		for i := idxPos + 1; i < idxPos+9; i++ {
-			d[i] = 0
-		}
-	})); err == nil {
+	if _, err := c.Decode(corrupt(func(d []byte) { d[idxPos+1] = 0 })); err == nil {
 		t.Error("zero bucket value accepted")
 	}
 }

@@ -161,9 +161,9 @@ func TestCodecStatsCounters(t *testing.T) {
 }
 
 // compSectionOffset locates the event-section framing (rawLen varint)
-// inside an encoded v5 frame of m.
+// inside a frame of m encoded at the current version.
 func compSectionOffset(m *gossip.Message) int {
-	return frameHdrBytes + controlPreSize(m) + controlPostSize(m)
+	return frameHdrBytes + controlPreSize(codecVersion, m) + controlPostSize(codecVersion, m)
 }
 
 // TestCodecCompressionEnvelopeErrors: every corruption of the

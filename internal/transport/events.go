@@ -4,25 +4,22 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"adaptivegossip/internal/gossip"
 )
 
-// Event-section layer (wire v5): events are encoded columnar, grouped
-// into runs of consecutive same-origin events so each sender id is
+// Event-section layer (wire v5+): events are encoded columnar, in runs
+// of consecutive same-origin events (columns.go), so each sender id is
 // written once per run while the original event order is preserved
-// exactly (decode must reproduce the input order — the simulator's
-// bit-identical replays and the round-trip tests depend on it).
+// exactly.
 //
 // Section content (all integers unsigned varints unless noted):
 //
 //	count   total events
 //	runs, until count events are consumed:
-//	    origin  uvarint len + bytes
-//	    runLen  events in this run (>= 1)
-//	    seq     first value, then runLen-1 zigzag deltas
+//	    origin, runLen, first seq, then runLen-1 zigzag seq deltas
+//	    (columns.go)
 //	    age     first value, then runLen-1 zigzag deltas
 //	    [if traced] hop per event
 //	    per event: payload uvarint len + bytes
@@ -30,16 +27,6 @@ import (
 // A 120-event buffer snapshot from one origin thus writes the origin id
 // once and mostly 1-byte seq/age deltas, against v4's 14+ bytes of
 // fixed-width headers per event.
-
-// uvarintLen returns the encoded size of v as an unsigned varint.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// zigzag maps a signed delta onto the unsigned varint space so small
-// negative deltas stay small on the wire.
-func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
-
-// unzigzag inverts zigzag.
-func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
 
 // appendEventSection writes the columnar event rows of m (the section
 // *content*; the compression framing around it is written by the
@@ -49,14 +36,11 @@ func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
 func appendEventSection(buf []byte, m *gossip.Message) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(m.Events)))
 	for start := 0; start < len(m.Events); {
-		end := gossip.NextEventRun(m.Events, start)
+		end := nextRun(m.Events, start, eventRowID)
 		run := m.Events[start:end]
-		buf = binary.AppendUvarint(buf, uint64(len(run[0].ID.Origin)))
-		buf = append(buf, run[0].ID.Origin...)
-		buf = binary.AppendUvarint(buf, uint64(len(run)))
-		buf = binary.AppendUvarint(buf, run[0].ID.Seq)
+		buf = appendRunHead(buf, run[0].ID, len(run))
 		for i := 1; i < len(run); i++ {
-			buf = binary.AppendUvarint(buf, zigzag(int64(run[i].ID.Seq-run[i-1].ID.Seq)))
+			buf = binary.AppendUvarint(buf, seqDelta(run[i-1].ID.Seq, run[i].ID.Seq))
 		}
 		buf = binary.AppendUvarint(buf, uint64(run[0].Age))
 		for i := 1; i < len(run); i++ {
@@ -81,13 +65,11 @@ func appendEventSection(buf []byte, m *gossip.Message) []byte {
 func eventSectionSize(m *gossip.Message) int {
 	n := uvarintLen(uint64(len(m.Events)))
 	for start := 0; start < len(m.Events); {
-		end := gossip.NextEventRun(m.Events, start)
+		end := nextRun(m.Events, start, eventRowID)
 		run := m.Events[start:end]
-		n += uvarintLen(uint64(len(run[0].ID.Origin))) + len(run[0].ID.Origin)
-		n += uvarintLen(uint64(len(run)))
-		n += uvarintLen(run[0].ID.Seq)
+		n += runHeadSize(run[0].ID, len(run))
 		for i := 1; i < len(run); i++ {
-			n += uvarintLen(zigzag(int64(run[i].ID.Seq - run[i-1].ID.Seq)))
+			n += uvarintLen(seqDelta(run[i-1].ID.Seq, run[i].ID.Seq))
 		}
 		n += uvarintLen(uint64(run[0].Age))
 		for i := 1; i < len(run); i++ {
@@ -131,47 +113,20 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message, sc *decodeScra
 		m.Events = slices.Grow(m.Events, capN)
 	}
 	for uint64(len(m.Events)) < count {
-		olen, err := r.uvarint()
+		origin, runLen, err := c.readRunHead(r, count-uint64(len(m.Events)), 3, sc)
 		if err != nil {
 			return err
-		}
-		if olen > uint64(c.MaxIDLen) {
-			return fmt.Errorf("%w: origin id %d bytes", ErrTooLarge, olen)
-		}
-		if err := r.need(int(olen)); err != nil {
-			return err
-		}
-		origin := gossip.NodeID(sc.intern(rows[r.off : r.off+int(olen)]))
-		r.off += int(olen)
-		runLen, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if runLen == 0 {
-			return fmt.Errorf("transport: empty event run")
-		}
-		if runLen > count-uint64(len(m.Events)) {
-			return fmt.Errorf("%w: run of %d events", ErrTooLarge, runLen)
-		}
-		if runLen > uint64((len(rows)-r.off)/3+1) {
-			return ErrTruncated
 		}
 		base := len(m.Events)
 		var seq uint64
-		for i := 0; i < int(runLen); i++ {
-			z, err := r.uvarint()
-			if err != nil {
+		for i := 0; i < runLen; i++ {
+			if seq, err = r.seq(i, seq); err != nil {
 				return err
-			}
-			if i == 0 {
-				seq = z
-			} else {
-				seq += uint64(unzigzag(z))
 			}
 			m.AppendEvent(gossip.Event{ID: gossip.EventID{Origin: origin, Seq: seq}})
 		}
 		var age int64
-		for i := 0; i < int(runLen); i++ {
+		for i := 0; i < runLen; i++ {
 			z, err := r.uvarint()
 			if err != nil {
 				return err
@@ -190,7 +145,7 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message, sc *decodeScra
 			m.Events[base+i].Age = int(age)
 		}
 		if m.Traced {
-			for i := 0; i < int(runLen); i++ {
+			for i := 0; i < runLen; i++ {
 				hop, err := r.uvarint()
 				if err != nil {
 					return err
@@ -201,7 +156,7 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message, sc *decodeScra
 				m.Events[base+i].Hop = int(hop)
 			}
 		}
-		for i := 0; i < int(runLen); i++ {
+		for i := 0; i < runLen; i++ {
 			plen, err := r.uvarint()
 			if err != nil {
 				return err

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"adaptivegossip/internal/gossip"
@@ -13,13 +14,14 @@ import (
 // kind; everything after it is version-dependent (see codec.go for the
 // full layout and version history).
 const (
-	codecVersion  = 5 // current wire version (columnar events, compression seam)
-	wireV4        = 4 // previous layout: fixed-width inline event list
+	codecVersion  = 6 // current wire version (columnar id lists, varint health digests)
+	wireV5        = 5 // v6 with fixed-width id lists and health digests
+	wireV4        = 4 // fixed-width inline event list, no compression seam
 	wireV3        = 3 // v4 minus trace context and health digests
 	flagAdaptive  = 1 << 0
 	flagGroup     = 1 << 1
 	flagTraced    = 1 << 2
-	flagCompress  = 1 << 3 // v5: the event section is compressed
+	flagCompress  = 1 << 3 // v5+: the event section is compressed
 	maxUint16     = 1<<16 - 1
 	frameHdrBytes = 3 + 1 + 1 + 1 // magic + version + flags + kind
 )
@@ -53,13 +55,14 @@ func appendFrame(buf []byte, version byte, m *gossip.Message) []byte {
 	return buf
 }
 
-// appendControlPre writes the leading control fields shared by every
-// wire version: addressing, round, adaptation header, κ-entries, the
-// recovery id lists and the failure-detection fields. In v4 the inline
-// event list follows; in v5 the trailing control fields do.
+// appendControlPre writes the leading control fields of the given wire
+// version (the current one or legacy v4): addressing, round, adaptation
+// header, κ-entries, the recovery id lists (columnar from v6 on) and
+// the failure-detection fields. In v4 the inline event list follows;
+// from v5 on the trailing control fields do.
 //
 //gossip:hotpath
-func appendControlPre(buf []byte, m *gossip.Message) []byte {
+func appendControlPre(buf []byte, version byte, m *gossip.Message) []byte {
 	buf = appendString(buf, string(m.From))
 	if m.Group != "" {
 		buf = appendString(buf, m.Group)
@@ -75,6 +78,10 @@ func appendControlPre(buf []byte, m *gossip.Message) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(e.Cap)))
 	}
 	for _, ids := range [2][]gossip.EventID{m.Digest, m.Request} {
+		if version >= codecVersion {
+			buf = appendIDColumns(buf, ids)
+			continue
+		}
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(ids)))
 		for _, id := range ids {
 			buf = appendString(buf, string(id.Origin))
@@ -93,10 +100,10 @@ func appendControlPre(buf []byte, m *gossip.Message) []byte {
 }
 
 // appendControlPost writes the trailing control fields: membership
-// churn and the health-digest piggyback.
+// churn and the health-digest piggyback (varint counters from v6 on).
 //
 //gossip:hotpath
-func appendControlPost(buf []byte, m *gossip.Message) []byte {
+func appendControlPost(buf []byte, version byte, m *gossip.Message) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Subs)))
 	for _, s := range m.Subs {
 		buf = appendString(buf, string(s))
@@ -107,17 +114,64 @@ func appendControlPost(buf []byte, m *gossip.Message) []byte {
 	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Health)))
 	for i := range m.Health {
-		buf = appendHealthDigest(buf, &m.Health[i])
+		if version >= codecVersion {
+			buf = appendHealthVarint(buf, &m.Health[i])
+		} else {
+			buf = appendHealthFixed(buf, &m.Health[i])
+		}
 	}
 	return buf
 }
 
-// appendHealthDigest writes one health digest: fixed counters, then the
+// healthCounters lists a digest's ten counters in wire order.
+func healthCounters(d *gossip.HealthDigest) [10]uint64 {
+	return [10]uint64{d.Round, d.WallMillis,
+		d.Published, d.Delivered, d.DroppedCapacity, d.DroppedExpired,
+		d.MessagesSent, d.MessagesReceived, d.BytesSent, d.BytesReceived}
+}
+
+// appendHealthVarint writes one wire v6 health digest: uvarint
+// counters, zigzag buffer occupancy and capacity, then the
 // delivery-hops histogram in sparse canonical form (only non-zero
-// buckets, indexes ascending).
+// buckets, indexes ascending, uvarint values).
 //
 //gossip:hotpath
-func appendHealthDigest(buf []byte, d *gossip.HealthDigest) []byte {
+func appendHealthVarint(buf []byte, d *gossip.HealthDigest) []byte {
+	buf = appendString(buf, string(d.Node))
+	for _, v := range healthCounters(d) {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	buf = binary.AppendUvarint(buf, zigzag(int64(d.BufferLen)))
+	buf = binary.AppendUvarint(buf, zigzag(int64(d.BufferCap)))
+	buf = binary.AppendUvarint(buf, d.DeliverHops.Count)
+	buf = binary.AppendUvarint(buf, d.DeliverHops.Sum)
+	buf = append(buf, nonZeroBuckets(d))
+	for i, b := range d.DeliverHops.Buckets {
+		if b != 0 {
+			buf = append(buf, byte(i))
+			buf = binary.AppendUvarint(buf, b)
+		}
+	}
+	return buf
+}
+
+// nonZeroBuckets counts the histogram buckets a digest puts on the wire.
+func nonZeroBuckets(d *gossip.HealthDigest) byte {
+	var nb byte
+	for _, b := range d.DeliverHops.Buckets {
+		if b != 0 {
+			nb++
+		}
+	}
+	return nb
+}
+
+// appendHealthFixed writes one v4/v5 health digest: the fields of
+// appendHealthVarint as u64 counters and bucket values and i32 buffer
+// values.
+//
+//gossip:hotpath
+func appendHealthFixed(buf []byte, d *gossip.HealthDigest) []byte {
 	buf = appendString(buf, string(d.Node))
 	buf = binary.BigEndian.AppendUint64(buf, d.Round)
 	buf = binary.BigEndian.AppendUint64(buf, d.WallMillis)
@@ -133,13 +187,7 @@ func appendHealthDigest(buf []byte, d *gossip.HealthDigest) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(d.BufferCap)))
 	buf = binary.BigEndian.AppendUint64(buf, d.DeliverHops.Count)
 	buf = binary.BigEndian.AppendUint64(buf, d.DeliverHops.Sum)
-	var nb byte
-	for _, b := range d.DeliverHops.Buckets {
-		if b != 0 {
-			nb++
-		}
-	}
-	buf = append(buf, nb)
+	buf = append(buf, nonZeroBuckets(d))
 	for i, b := range d.DeliverHops.Buckets {
 		if b == 0 {
 			continue
@@ -152,7 +200,7 @@ func appendHealthDigest(buf []byte, d *gossip.HealthDigest) []byte {
 
 // controlPreSize returns the exact wire size of the leading control
 // fields written by appendControlPre.
-func controlPreSize(m *gossip.Message) int {
+func controlPreSize(version byte, m *gossip.Message) int {
 	n := 2 + len(m.From) + 8
 	if m.Group != "" {
 		n += 2 + len(m.Group)
@@ -164,8 +212,12 @@ func controlPreSize(m *gossip.Message) int {
 	for _, e := range m.KMin {
 		n += 2 + len(e.Node) + 4
 	}
-	n += 2 + 2
 	for _, ids := range [2][]gossip.EventID{m.Digest, m.Request} {
+		if version >= codecVersion {
+			n += idColumnsSize(ids)
+			continue
+		}
+		n += 2
 		for _, id := range ids {
 			n += 2 + len(id.Origin) + 8
 		}
@@ -180,7 +232,7 @@ func controlPreSize(m *gossip.Message) int {
 
 // controlPostSize returns the exact wire size of the trailing control
 // fields written by appendControlPost.
-func controlPostSize(m *gossip.Message) int {
+func controlPostSize(version byte, m *gossip.Message) int {
 	n := 2
 	for _, s := range m.Subs {
 		n += 2 + len(s)
@@ -191,18 +243,26 @@ func controlPostSize(m *gossip.Message) int {
 	}
 	n += 2
 	for i := range m.Health {
-		n += healthDigestWireSize(&m.Health[i])
+		n += healthDigestWireSize(version, &m.Health[i])
 	}
 	return n
 }
 
-func healthDigestWireSize(d *gossip.HealthDigest) int {
-	// node + round/wallMillis + 8 counters + bufferLen/Cap + hist
-	// count/sum + bucket count byte.
-	n := 2 + len(d.Node) + 8 + 8 + 8*8 + 4 + 4 + 8 + 8 + 1
+func healthDigestWireSize(version byte, d *gossip.HealthDigest) int {
+	if version < codecVersion {
+		// node + 10 counters + bufferLen/Cap + hist count/sum + bucket
+		// count byte + (index, value) per bucket.
+		return 2 + len(d.Node) + 10*8 + 4 + 4 + 8 + 8 + 1 + 9*int(nonZeroBuckets(d))
+	}
+	n := 2 + len(d.Node)
+	for _, v := range healthCounters(d) {
+		n += uvarintLen(v)
+	}
+	n += uvarintLen(zigzag(int64(d.BufferLen))) + uvarintLen(zigzag(int64(d.BufferCap)))
+	n += uvarintLen(d.DeliverHops.Count) + uvarintLen(d.DeliverHops.Sum) + 1
 	for _, b := range d.DeliverHops.Buckets {
 		if b != 0 {
-			n += 9
+			n += 1 + uvarintLen(b)
 		}
 	}
 	return n
@@ -289,11 +349,11 @@ func (r *reader) str(maxLen int, sc *decodeScratch) (string, error) {
 	return s, nil
 }
 
-// decodeControlPre parses the leading control fields into m (the
-// counterpart of appendControlPre; the frame header is already
-// consumed and its flags applied to m). Lists are appended to m's
-// (empty, possibly scratch-backed) slices.
-func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte, sc *decodeScratch) error {
+// decodeControlPre parses the leading control fields of a frame of the
+// given version into m (the counterpart of appendControlPre; the frame
+// header is already consumed and its flags applied to m). Lists are
+// appended to m's (empty, possibly scratch-backed) slices.
+func (c Codec) decodeControlPre(r *reader, m *gossip.Message, version, flags byte, sc *decodeScratch) error {
 	from, err := r.str(c.MaxIDLen, sc)
 	if err != nil {
 		return err
@@ -347,6 +407,12 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte, sc *de
 		}
 	}
 	for _, dst := range []*[]gossip.EventID{&m.Digest, &m.Request} {
+		if version >= codecVersion {
+			if *dst, err = c.readIDColumns(r, *dst, sc); err != nil {
+				return err
+			}
+			continue
+		}
 		nd, err := r.u16()
 		if err != nil {
 			return err
@@ -422,7 +488,7 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte, sc *de
 
 // decodeControlPost parses the trailing control fields (membership and,
 // for wire v4+, the health-digest section) into m.
-func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool, sc *decodeScratch) error {
+func (c Codec) decodeControlPost(r *reader, m *gossip.Message, version byte, sc *decodeScratch) error {
 	for _, dst := range []*[]gossip.NodeID{&m.Subs, &m.Unsubs} {
 		n, err := r.u16()
 		if err != nil {
@@ -436,9 +502,9 @@ func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool, 
 			*dst = append(*dst, gossip.NodeID(s))
 		}
 	}
-	if withHealth {
+	if version >= wireV4 {
 		var err error
-		if m.Health, err = c.decodeHealth(r, m.Health, sc); err != nil {
+		if m.Health, err = c.decodeHealth(r, m.Health, version, sc); err != nil {
 			return err
 		}
 	}
@@ -447,8 +513,10 @@ func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool, 
 
 // decodeHealth parses the health-digest section (wire v4+), appending
 // to out, and enforces the canonical sparse-histogram form so a decoded
-// message re-encodes to identical bytes.
-func (c Codec) decodeHealth(r *reader, out []gossip.HealthDigest, sc *decodeScratch) ([]gossip.HealthDigest, error) {
+// message re-encodes to identical bytes. From v6 on the counters and
+// bucket values are uvarints and the buffer values zigzag varints that
+// must fit an int32.
+func (c Codec) decodeHealth(r *reader, out []gossip.HealthDigest, version byte, sc *decodeScratch) ([]gossip.HealthDigest, error) {
 	nh, err := r.u16()
 	if err != nil {
 		return out, err
@@ -456,13 +524,15 @@ func (c Codec) decodeHealth(r *reader, out []gossip.HealthDigest, sc *decodeScra
 	if nh == 0 {
 		return out, nil
 	}
-	// Preallocation capped by what the remaining input could hold
-	// (≥107 bytes per digest), as for the id lists.
-	capN := int(nh)
-	if maxN := (len(r.data) - r.off) / 107; capN > maxN {
-		capN = maxN
+	varint := version >= codecVersion
+	// Preallocation capped by what the remaining input could hold (the
+	// smallest digest is 107 bytes fixed-width, 17 in varints), as for
+	// the id lists.
+	minSize := 107
+	if varint {
+		minSize = 17
 	}
-	out = slices.Grow(out, capN)
+	out = slices.Grow(out, min(int(nh), (len(r.data)-r.off)/minSize))
 	for i := 0; i < int(nh); i++ {
 		var d gossip.HealthDigest
 		node, err := r.str(c.MaxIDLen, sc)
@@ -475,23 +545,19 @@ func (c Codec) decodeHealth(r *reader, out []gossip.HealthDigest, sc *decodeScra
 			&d.Published, &d.Delivered, &d.DroppedCapacity, &d.DroppedExpired,
 			&d.MessagesSent, &d.MessagesReceived, &d.BytesSent, &d.BytesReceived,
 		} {
-			if *dst, err = r.u64(); err != nil {
+			if *dst, err = r.counter(varint); err != nil {
 				return out, err
 			}
 		}
-		bl, err := r.u32()
-		if err != nil {
+		for _, dst := range []*int{&d.BufferLen, &d.BufferCap} {
+			if *dst, err = r.bufferValue(varint); err != nil {
+				return out, err
+			}
+		}
+		if d.DeliverHops.Count, err = r.counter(varint); err != nil {
 			return out, err
 		}
-		bc, err := r.u32()
-		if err != nil {
-			return out, err
-		}
-		d.BufferLen, d.BufferCap = int(int32(bl)), int(int32(bc))
-		if d.DeliverHops.Count, err = r.u64(); err != nil {
-			return out, err
-		}
-		if d.DeliverHops.Sum, err = r.u64(); err != nil {
+		if d.DeliverHops.Sum, err = r.counter(varint); err != nil {
 			return out, err
 		}
 		nb, err := r.u8()
@@ -510,7 +576,7 @@ func (c Codec) decodeHealth(r *reader, out []gossip.HealthDigest, sc *decodeScra
 			if int(idx) >= len(d.DeliverHops.Buckets) || int(idx) <= last {
 				return out, fmt.Errorf("transport: bad histogram bucket index %d", idx)
 			}
-			val, err := r.u64()
+			val, err := r.counter(varint)
 			if err != nil {
 				return out, err
 			}
@@ -523,4 +589,32 @@ func (c Codec) decodeHealth(r *reader, out []gossip.HealthDigest, sc *decodeScra
 		out = append(out, d)
 	}
 	return out, nil
+}
+
+// counter reads a health counter: a uvarint from wire v6 on, a u64
+// before.
+func (r *reader) counter(varint bool) (uint64, error) {
+	if varint {
+		return r.uvarint()
+	}
+	return r.u64()
+}
+
+// bufferValue reads a health buffer value: an i32 before wire v6, a
+// zigzag uvarint from v6 on, rejected outside the int32 range the i32
+// held.
+func (r *reader) bufferValue(varint bool) (int, error) {
+	if !varint {
+		v, err := r.u32()
+		return int(int32(v)), err
+	}
+	z, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	v := unzigzag(z)
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("%w: health buffer value %d", ErrTooLarge, v)
+	}
+	return int(v), nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // scratchSeeds are valid encodings of every kind and wire version plus
-// compressed frames: the inputs the scratch decoder must agree with the
-// owning decoder on.
+// compressed frames and the golden frames of earlier versions: the
+// inputs the scratch decoder must agree with the owning decoder on.
 func scratchSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	c := DefaultCodec()
@@ -30,6 +30,9 @@ func scratchSeeds(t testing.TB) [][]byte {
 			}
 			seeds = append(seeds, data)
 		}
+	}
+	for _, g := range goldenFrames {
+		seeds = append(seeds, readGolden(t, g.file))
 	}
 	return seeds
 }
